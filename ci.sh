@@ -6,6 +6,10 @@
 #   tests        cargo test --workspace, plus the borrowed-vs-owned wire
 #                differential suite by name so a skipped or filtered-out
 #                differential run can never pass quietly
+#   perfbench    the repo benchmark (perfbench/, its own cargo package)
+#                builds against the workspace's public layer APIs and its
+#                own tests pass, so an API break fails CI, not the
+#                benchmark run
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
 #   chaos        fault injection, kill -9 mid-run, resume, diff vs clean
 #   metrics      repro bench: schema-validated run report, counter
@@ -60,7 +64,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_GATES="lint build tests determinism chaos metrics wirebench trace sweep suite daemon live results"
+ALL_GATES="lint build tests perfbench determinism chaos metrics wirebench trace sweep suite daemon live results"
 
 REPRO=target/release/repro
 DAEMON=target/release/dnsimpactd
@@ -70,6 +74,7 @@ list_gates() {
 lint         cargo fmt --check, cargo clippy -D warnings, sh -n ci.sh
 build        cargo build --release (workspace)
 tests        cargo test --workspace + the dnswire differential suite by name
+perfbench    the benchmark package builds against the workspace API and its tests pass
 determinism  repro --jobs 1 vs --jobs 2: byte-identical CSVs + stdout
 chaos        kill -9 mid-run + resume must equal a clean, fault-free run
 metrics      repro bench: report schema + counter invariants + BENCH baseline diff
@@ -229,6 +234,11 @@ gate_tests() {
     # contract that lets every hot path use the zero-copy views, so it
     # must visibly execute (not just ride along in the workspace pass).
     cargo test -q -p dnswire --test differential
+}
+
+gate_perfbench() {
+    echo "==> perfbench gate: benchmark builds against the workspace and its tests pass"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 gate_determinism() {

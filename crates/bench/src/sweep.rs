@@ -69,10 +69,6 @@ fn fingerprint(report: &LongitudinalReport) -> u64 {
     w.0
 }
 
-fn counter_delta(before: &obs::Snapshot, after: &obs::Snapshot, name: &str) -> u64 {
-    after.counters.get(name).copied().unwrap_or(0) - before.counters.get(name).copied().unwrap_or(0)
-}
-
 /// Run the sweep grid and assemble the `dnsimpact-sweep/v1` report.
 ///
 /// Fails (rather than emitting a report) if any jobs>1 cell's artifact
@@ -105,7 +101,6 @@ pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<obs::SweepReport, String> {
             config.impact.chaos_seed = cfg.chaos_seed;
 
             obs::rss::reset_peak();
-            let before = obs::registry().snapshot();
             let start = std::time::Instant::now();
             let report = longitudinal::run(
                 &built.infra,
@@ -117,16 +112,14 @@ pub fn run_scale_sweep(cfg: &SweepConfig) -> Result<obs::SweepReport, String> {
                 &rngs,
             );
             let wall_ms = start.elapsed().as_millis() as u64;
-            let after = obs::registry().snapshot();
             let peak_rss_kb = obs::rss::peak_rss_kb();
 
             let fp = fingerprint(&report);
             let episodes = report.feed.episodes.len() as u64;
-            // Counter deltas cover *all* work the cell did — the join
-            // counters include both the open-resolver-filtered pass and
-            // the unfiltered comparison pass.
-            let joined_rows = counter_delta(&before, &after, "join.rows_joined");
-            let records_measured = counter_delta(&before, &after, "openintel.records_measured");
+            // Counted from the report itself, never from the process-global
+            // counters that concurrently running work also bumps.
+            let joined_rows = report.dns_events.len() as u64;
+            let records_measured: u64 = report.impacts.iter().map(|e| e.domains_measured).sum();
             let records = episodes + joined_rows + records_measured;
 
             let (speedup, wall_for_rate) = match jobs1 {

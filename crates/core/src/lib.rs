@@ -25,6 +25,7 @@ pub mod columnar;
 pub mod correlate;
 pub mod enduser;
 pub mod failures;
+pub mod front;
 pub mod impact;
 pub mod join;
 pub mod longitudinal;

@@ -6,20 +6,21 @@ use crate::casestudy;
 use crate::columnar::JoinTable;
 use crate::correlate::{self, CorrelationSeries};
 use crate::failures::{self, FailureSummary};
+use crate::front;
 use crate::impact::{compute_impacts_columnar, ImpactConfig, ImpactEvent};
 use crate::join::DnsAttackEvent;
 use crate::ports::{self, PortBreakdown};
 use crate::resilience::{self, ClassImpact};
 use attack::Attack;
 use census::{AnycastCensus, OpenResolverList};
-use dnssim::{Infra, LoadBook, Resolver};
+use dnssim::{Infra, Resolver};
 use netbase::{As2Org, OrgRegistry, Prefix2As};
 use openintel::{MeasurementStore, SweepSchedule};
 use simcore::rng::RngFactory;
 use simcore::time::Month;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use telescope::{BackscatterSampler, Darknet, RsdosClassifier, RsdosFeed};
+use telescope::{Darknet, RsdosFeed};
 
 /// Trace scope of the longitudinal feed: episode `i` is `rsdos/i`.
 const TRACE_SCOPE: &str = "rsdos";
@@ -42,9 +43,10 @@ pub struct LongitudinalConfig {
     /// Include /24-collateral joins in the DNS-attack accounting (the
     /// headline Table 3 counts direct nameserver-IP hits).
     pub include_collateral: bool,
-    /// Worker threads for the sharded join and the measurement phase
-    /// (`0` = available parallelism, `1` = fully sequential). The report is
-    /// byte-identical for any value — parallelism only buys wall clock.
+    /// Worker threads for the simulation front, the sharded join and the
+    /// measurement phase (`0` = available parallelism, `1` = fully
+    /// sequential). The report is byte-identical for any value —
+    /// parallelism only buys wall clock.
     pub jobs: usize,
 }
 
@@ -135,23 +137,13 @@ pub fn run(
     config: &LongitudinalConfig,
     rngs: &RngFactory,
 ) -> LongitudinalReport {
-    // Offered load: every vector of every attack loads its victim.
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in attack::accumulate_windows(attacks) {
-        loads.add(addr, w, pps);
-    }
-
-    // Telescope view → feed.
-    let sampler = BackscatterSampler::new(darknet);
-    let obs = sampler.sample(attacks, rngs);
-    let classifier = RsdosClassifier::new(config.thresholds);
-    // Arena-block feed path: one packed buffer carries the qualifying
-    // records; episodes decode straight out of it. The row feed the
-    // report exposes is rehydrated from the same block, so the two forms
-    // cannot drift.
-    let record_block = classifier.classify_into_block(&obs);
-    let episodes = classifier.episodes_from_block(&record_block);
-    let feed = RsdosFeed::new(record_block.iter().collect(), episodes);
+    // The simulation front (loads, backscatter, classification, episodes),
+    // shared with the daemon's feed source and sharded across config.jobs.
+    // The row feed the report exposes is rehydrated from the front's
+    // record block, so the two forms cannot drift.
+    let front = front::simulate(attacks, darknet, config.thresholds, rngs, config.jobs);
+    let loads = front.loads;
+    let feed = RsdosFeed::new(front.records.iter().collect(), front.episodes);
     // Causal tracing (see `obs::trace`): the longitudinal feed owns the
     // `rsdos` scope, so episode `i` is addressable as `rsdos/i`.
     feed.trace_onsets(TRACE_SCOPE);

@@ -29,6 +29,7 @@
 
 use attack::AttackScheduler;
 use dnsimpact_core::columnar::JoinTable;
+use dnsimpact_core::front;
 use dnssim::{Infra, LoadBook, NsSetId, Resolver};
 use openintel::{expected_outcome, OutageModel, SweepSchedule};
 use scenarios::{
@@ -37,10 +38,7 @@ use scenarios::{
 use simcore::rng::RngFactory;
 use simcore::time::{SimTime, Window, WINDOWS_PER_DAY, WINDOW_SECS};
 use std::collections::{BTreeMap, BTreeSet};
-use telescope::{
-    AttackEpisode, BackscatterSampler, Darknet, EpisodeColumns, FeedGapModel, RsdosClassifier,
-    RsdosRecord,
-};
+use telescope::{AttackEpisode, Darknet, EpisodeColumns, FeedGapModel, RsdosRecord};
 
 /// Identity and shape of the daemon's feed. Every field participates in
 /// the determinism contract: two sources built from equal configs emit
@@ -157,36 +155,39 @@ struct Ev {
     rec: Option<FeedRecord>,
 }
 
+/// How many of `nsset`'s domains the daily sweep measures in each window
+/// of the day. A domain's window of day does not depend on the day, so one
+/// histogram serves every span the NSSet is aggregated over.
+fn window_of_day_histogram(infra: &Infra, schedule: &SweepSchedule, nsset: NsSetId) -> Vec<u64> {
+    let mut hist = vec![0u64; WINDOWS_PER_DAY as usize];
+    for &d in infra.domains_of_nsset(nsset) {
+        hist[schedule.window_of_day(d) as usize] += 1;
+    }
+    hist
+}
+
 /// Expected-RTT aggregate for `nsset` over `[first, last]`, weighted by
-/// how many of its domains the daily sweep schedules into each window —
-/// the same weighting the batch pipeline's Equation 1 uses. Returns
-/// `(avg_rtt_ms, domains_measured)`; `domains_measured == 0` means the
-/// sweep never touched the span.
+/// how many of its domains the daily sweep schedules into each window
+/// (`hist`, from [`window_of_day_histogram`]) — the same weighting the
+/// batch pipeline's Equation 1 uses. Windows add in ascending order.
+/// Returns `(avg_rtt_ms, domains_measured)`; `domains_measured == 0`
+/// means the sweep never touched the span.
 fn span_aggregate(
     infra: &Infra,
-    schedule: &SweepSchedule,
     resolver: &Resolver,
     nsset: NsSetId,
+    hist: &[u64],
     first: Window,
     last: Window,
     loads: &LoadBook,
 ) -> (f64, u64) {
-    let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
-    for &d in infra.domains_of_nsset(nsset) {
-        let wod = schedule.window_of_day(d);
-        let base = first.0 - first.0 % WINDOWS_PER_DAY;
-        let mut w = base + wod;
-        if w < first.0 {
-            w += WINDOWS_PER_DAY;
-        }
-        while w <= last.0 {
-            *counts.entry(w).or_default() += 1;
-            w += WINDOWS_PER_DAY;
-        }
-    }
     let mut num = 0.0;
     let mut n = 0u64;
-    for (&w, &c) in &counts {
+    for w in first.0..=last.0 {
+        let c = hist[(w % WINDOWS_PER_DAY) as usize];
+        if c == 0 {
+            continue;
+        }
         let e = expected_outcome(infra, resolver, nsset, Window(w), loads);
         num += e.expected_rtt_ms * c as f64;
         n += c;
@@ -212,21 +213,18 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
         schedule_cfg.dns_share_per_month.truncate(cfg.months);
     }
     let attacks = AttackScheduler::new(schedule_cfg).generate(&built.target_pool(), &rngs);
-    let mut loads = LoadBook::new();
-    for (addr, w, pps) in attack::accumulate_windows(&attacks) {
-        loads.add(addr, w, pps);
-    }
 
-    // Telescope view → episode stream (same chain as the batch pipeline).
-    let darknet = Darknet::ucsd_like();
-    let sampler = BackscatterSampler::new(&darknet);
-    let observations = sampler.sample(&attacks, &rngs);
-    let classifier = RsdosClassifier::new(telescope::RsdosThresholds::default());
-    // Arena-block feed path: qualifying records pack into one shared
-    // buffer and episodes decode straight out of it (held identical to
-    // the row path by telescope's differential tests).
-    let record_block = classifier.classify_into_block(&observations);
-    let episodes = classifier.episodes_from_block(&record_block);
+    // Telescope view → episode stream: the batch pipeline's simulation
+    // front, sharded across `jobs`.
+    let front = front::simulate(
+        &attacks,
+        &Darknet::ucsd_like(),
+        telescope::RsdosThresholds::default(),
+        &rngs,
+        jobs,
+    );
+    drop(attacks);
+    let (loads, episodes) = (front.loads, front.episodes);
 
     let gap =
         FeedGapModel::from_seed(cfg.gap_seed, cfg.gap_prob, cfg.max_gap_windows, cfg.loss_frac);
@@ -289,34 +287,20 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
     // OpenINTEL aggregates for joined episodes: the during-attack
     // observation plus the baseline days it will want (day-before, and
     // week-before as the outage fallback).
+    let mut spans: Vec<(NsSetId, Window, Window)> = Vec::new();
     let mut baseline_days: BTreeSet<(NsSetId, u64)> = BTreeSet::new();
     for row in 0..join.len() {
         let ei = join.episode_idx[row] as usize;
         let (first, last) = (columns.first_windows[ei], columns.last_windows[ei]);
         for &nsset in join.nssets.row(row) {
-            let (avg, n) =
-                span_aggregate(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
-            if n > 0 {
-                push(
-                    &mut events,
-                    last.end(),
-                    2,
-                    Some(FeedRecord::AttackObs {
-                        nsset,
-                        first_window: first,
-                        last_window: last,
-                        avg_rtt_ms: avg,
-                        domains_measured: n,
-                    }),
-                    &mut idx,
-                );
-            }
+            spans.push((nsset, first, last));
             let day = first.day();
             for d in [day.checked_sub(1), day.checked_sub(7)].into_iter().flatten() {
                 baseline_days.insert((nsset, d));
             }
         }
     }
+    let attack_spans = spans.len();
     let mut baselines_suppressed = 0u64;
     for &(nsset, day) in &baseline_days {
         if outage.day_missed(day) {
@@ -325,9 +309,48 @@ pub fn build(cfg: &FeedConfig, jobs: usize) -> FeedSource {
             continue;
         }
         let first = Window(day * WINDOWS_PER_DAY);
-        let last = Window((day + 1) * WINDOWS_PER_DAY - 1);
-        let (avg, n) = span_aggregate(&built.infra, &sweep, &resolver, nsset, first, last, &loads);
-        if n > 0 {
+        spans.push((nsset, first, Window(first.0 + WINDOWS_PER_DAY - 1)));
+    }
+    let hists: BTreeMap<NsSetId, Vec<u64>> = spans
+        .iter()
+        .map(|&(nsset, _, _)| nsset)
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .map(|nsset| (nsset, window_of_day_histogram(&built.infra, &sweep, nsset)))
+        .collect();
+    // Every aggregate is a pure function of its span, so they compute on
+    // contiguous shards and come back in span order. Eight shards per
+    // worker even out spans of very different lengths.
+    let shards = streamproc::shard_ranges(spans.len(), streamproc::effective_jobs(jobs) * 8);
+    let aggregates: Vec<(f64, u64)> = streamproc::parallel_map(jobs, shards, |_, range| {
+        spans[range]
+            .iter()
+            .map(|&(nsset, first, last)| {
+                span_aggregate(&built.infra, &resolver, nsset, &hists[&nsset], first, last, &loads)
+            })
+            .collect::<Vec<_>>()
+    })
+    .concat();
+    for (i, (&(nsset, first, last), &(avg, n))) in spans.iter().zip(&aggregates).enumerate() {
+        if n == 0 {
+            continue;
+        }
+        if i < attack_spans {
+            push(
+                &mut events,
+                last.end(),
+                2,
+                Some(FeedRecord::AttackObs {
+                    nsset,
+                    first_window: first,
+                    last_window: last,
+                    avg_rtt_ms: avg,
+                    domains_measured: n,
+                }),
+                &mut idx,
+            );
+        } else {
+            let day = first.day();
             push(
                 &mut events,
                 SimTime::from_days(day + 1),

@@ -6,8 +6,10 @@ use crate::ids::{DomainId, NsId, NsSet, NsSetId};
 use crate::load::{LoadModel, ServiceState};
 use dnswire::Name;
 use netbase::{Asn, Slash24};
+use simcore::rng::splitmix64;
 use simcore::time::Window;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 
 /// A registered domain: its name and the NSSet it delegates to.
@@ -291,11 +293,41 @@ impl Infra {
 /// Keys are packed `(id << 32) | window` u64s: a full-feed 17-month run
 /// carries tens of millions of cells, and the packed keys keep it inside
 /// laptop memory. (The 17-month interval spans ≈150 K windows, far below
-/// the 2³² packing limit.)
+/// the 2³² packing limit.) The maps hash those keys with a SplitMix64
+/// finalizer (`PackedKeyHasher`) instead of SipHash; nothing iterates
+/// them, so the hasher only changes where a cell lives, never what a
+/// lookup returns.
 #[derive(Clone, Debug, Default)]
 pub struct LoadBook {
-    by_addr: HashMap<u64, f64>,
-    by_slash24: HashMap<u64, f64>,
+    by_addr: PackedMap,
+    by_slash24: PackedMap,
+}
+
+type PackedMap = HashMap<u64, f64, BuildHasherDefault<PackedKeyHasher>>;
+
+/// Hasher for the book's packed `u64` keys. Keys are attacker-independent
+/// simulation state, so a fixed, fast finalizer is enough.
+#[derive(Default)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// SplitMix64 of the id, plus the window: an address's (or /24's)
+    /// consecutive windows land in neighbouring buckets, so an attack's
+    /// run of windows shares cache lines on fill and on lookup.
+    fn write_u64(&mut self, key: u64) {
+        let mut id = key >> 32;
+        self.0 = splitmix64(&mut id).wrapping_add(key & 0xFFFF_FFFF);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[inline]

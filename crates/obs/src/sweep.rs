@@ -52,9 +52,11 @@ pub struct SweepCell {
     pub jobs: u64,
     /// Attack episodes ingested from the telescope feed.
     pub episodes: u64,
-    /// Rows emitted by the RSDoS×NSSet join.
+    /// DNS attack events the (open-resolver-filtered) RSDoS×NSSet join
+    /// emitted.
     pub joined_rows: u64,
-    /// OpenINTEL sweep measurements taken by the impact stage.
+    /// Domain measurements behind the reported impact events
+    /// (Σ `domains_measured`).
     pub records_measured: u64,
     /// Total streamed records: `episodes + joined_rows + records_measured`.
     pub records: u64,

@@ -6,7 +6,6 @@ use rand::rngs::SmallRng;
 use simcore::dist::poisson;
 use simcore::rng::RngFactory;
 use simcore::time::Window;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// What the telescope aggregates for one victim in one 5-minute window.
@@ -45,16 +44,67 @@ impl<'a> BackscatterSampler<'a> {
     }
 
     /// Sample the telescope's view of `attacks`. Only randomly-spoofed
-    /// vectors generate backscatter toward the darknet.
+    /// vectors generate backscatter toward the darknet. This is the
+    /// one-shard case of [`sample_sharded`](Self::sample_sharded).
     pub fn sample(&self, attacks: &[Attack], rngs: &RngFactory) -> Vec<BackscatterObs> {
-        let mut out = Vec::new();
-        for a in attacks {
-            let mut rng = rngs.stream_indexed("backscatter", a.id.0);
-            self.sample_attack(a, &mut rng, &mut out);
+        self.sample_sharded(attacks, rngs, 1, || ()).0
+    }
+
+    /// [`sample`](Self::sample) on `shards` threads, byte-identical for any
+    /// shard count, running `beside` on the calling thread meanwhile. Each
+    /// attack draws from its own stream (`stream_indexed("backscatter",
+    /// id)`), so contiguous attack shards sample independently; their
+    /// observations are concatenated in shard order, which is attack
+    /// order, and cells merge on the calling thread.
+    pub fn sample_sharded<R>(
+        &self,
+        attacks: &[Attack],
+        rngs: &RngFactory,
+        shards: usize,
+        beside: impl FnOnce() -> R,
+    ) -> (Vec<BackscatterObs>, R) {
+        // Each shard's buffer is allocated here, on the calling thread, at
+        // its upper bound (one observation per attack window), so the
+        // shard threads never allocate: glibc keeps what a worker thread
+        // allocated in that thread's own arena after it is freed. For the
+        // same reason the merge's sort runs here, not on the shards.
+        let sample_into = |shard: &[Attack], mut out: Vec<BackscatterObs>| {
+            for a in shard {
+                let mut rng = rngs.stream_indexed("backscatter", a.id.0);
+                self.sample_attack(a, &mut rng, &mut out);
+            }
+            out
+        };
+        let buffer = |shard: &[Attack]| Vec::with_capacity(shard.iter().map(window_count).sum());
+        let (runs, beside): (Vec<Vec<BackscatterObs>>, R) = if shards <= 1 {
+            (vec![sample_into(attacks, buffer(attacks))], beside())
+        } else {
+            let sample_into = &sample_into;
+            std::thread::scope(|scope| {
+                let shard_len = attacks.len().div_ceil(shards).max(1);
+                let handles: Vec<_> = attacks
+                    .chunks(shard_len)
+                    .map(|shard| {
+                        let out = buffer(shard);
+                        scope.spawn(move || sample_into(shard, out))
+                    })
+                    .collect();
+                let beside = beside();
+                let runs = handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect();
+                (runs, beside)
+            })
+        };
+        let mut runs = runs.into_iter();
+        let mut obs = runs.next().unwrap_or_default();
+        for run in runs {
+            obs.extend(run);
         }
         // Multiple attacks on the same victim in the same window merge, as
         // the real aggregation cannot tell them apart.
-        merge_same_cell(out)
+        (merge_same_cell(obs), beside)
     }
 
     fn sample_attack(&self, a: &Attack, rng: &mut SmallRng, out: &mut Vec<BackscatterObs>) {
@@ -110,31 +160,35 @@ impl<'a> BackscatterSampler<'a> {
     }
 }
 
+/// Upper bound on the windows `a` can be observed in:
+/// `Attack::window_overlaps` yields at most one per started window.
+fn window_count(a: &Attack) -> usize {
+    (a.duration.secs() / simcore::time::WINDOW_SECS) as usize + 2
+}
+
+/// The merge key: cells sort by window, then victim.
+fn cell_key(o: &BackscatterObs) -> (Window, u32) {
+    (o.window, u32::from(o.victim))
+}
+
+/// Fold every (window, victim) cell into one observation, sorted by
+/// [`cell_key`]. The sort is stable, so the observations of one cell stay
+/// in attack order and fold left to right: the `max_ppm` f64 sum adds in
+/// the same order for any sharding. Packets and ports add, `slash16s`
+/// takes the max, and the first-seen attack's protocol and first port win.
 fn merge_same_cell(mut obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
-    let mut map: HashMap<(Ipv4Addr, Window), BackscatterObs> = HashMap::new();
-    for o in obs.drain(..) {
-        match map.entry((o.victim, o.window)) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(o);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let m = e.get_mut();
-                m.packets += o.packets;
-                m.slash16s = m.slash16s.max(o.slash16s);
-                m.unique_ports = m.unique_ports.saturating_add(o.unique_ports);
-                m.max_ppm += o.max_ppm;
-                // Keep the dominant vector's protocol/first-port (larger
-                // packet count wins; the merge keeps the existing one when
-                // it is at least as large).
-                if o.packets > m.packets / 2 {
-                    // o contributed the majority of the merged packets.
-                }
-            }
+    obs.sort_by_key(cell_key);
+    obs.dedup_by(|later, kept| {
+        if cell_key(later) != cell_key(kept) {
+            return false;
         }
-    }
-    let mut out: Vec<BackscatterObs> = map.into_values().collect();
-    out.sort_by_key(|o| (o.window, u32::from(o.victim)));
-    out
+        kept.packets += later.packets;
+        kept.slash16s = kept.slash16s.max(later.slash16s);
+        kept.unique_ports = kept.unique_ports.saturating_add(later.unique_ports);
+        kept.max_ppm += later.max_ppm;
+        true
+    });
+    obs
 }
 
 #[cfg(test)]
@@ -264,5 +318,99 @@ mod tests {
         let s = BackscatterSampler::new(&d);
         let a = vec![spoofed_attack(10_000.0, 30)];
         assert_eq!(s.sample(&a, &RngFactory::new(9)), s.sample(&a, &RngFactory::new(9)));
+    }
+
+    #[test]
+    fn sharded_sampling_equals_sequential() {
+        let d = Darknet::ucsd_like();
+        let s = BackscatterSampler::new(&d);
+        // Three victims hit by overlapping attacks, so cells merge across
+        // shard boundaries for every shard count.
+        let attacks: Vec<Attack> = (0..40u64)
+            .map(|i| {
+                let mut a = spoofed_attack(200.0 + 900.0 * (i % 7) as f64, 10 + 5 * (i % 5));
+                a.id = AttackId(i);
+                a.target = Ipv4Addr::from(0xCB00_7100 + (i % 3) as u32);
+                a.start = SimTime(60 * (i % 9));
+                a
+            })
+            .collect();
+        let rngs = RngFactory::new(11);
+        let sequential = s.sample(&attacks, &rngs);
+        assert!(sequential.len() < attacks.len() * 2, "cells merged across attacks");
+        for shards in 1..=8 {
+            let (sharded, ()) = s.sample_sharded(&attacks, &rngs, shards, || ());
+            assert_eq!(sharded.len(), sequential.len(), "shards={shards}");
+            for (a, b) in sharded.iter().zip(&sequential) {
+                assert_eq!(a, b, "shards={shards}");
+                assert_eq!(a.max_ppm.to_bits(), b.max_ppm.to_bits(), "shards={shards}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The hash-map merge the sort-and-fold merge replaced, kept as its
+    /// differential oracle.
+    fn merge_same_cell_oracle(mut obs: Vec<BackscatterObs>) -> Vec<BackscatterObs> {
+        use std::collections::HashMap;
+        let mut map: HashMap<(Ipv4Addr, Window), BackscatterObs> = HashMap::new();
+        for o in obs.drain(..) {
+            match map.entry((o.victim, o.window)) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(o);
+                }
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let m = e.get_mut();
+                    m.packets += o.packets;
+                    m.slash16s = m.slash16s.max(o.slash16s);
+                    m.unique_ports = m.unique_ports.saturating_add(o.unique_ports);
+                    m.max_ppm += o.max_ppm;
+                }
+            }
+        }
+        let mut out: Vec<BackscatterObs> = map.into_values().collect();
+        out.sort_by_key(|o| (o.window, u32::from(o.victim)));
+        out
+    }
+
+    fn arb_obs() -> impl Strategy<Value = BackscatterObs> {
+        // Three victims × four windows: most lists put several
+        // observations in one cell. Rates span six orders of magnitude so
+        // the `max_ppm` sum rounds differently in any other fold order;
+        // port counts reach the u16 saturation point.
+        (0u32..3, 0u64..4, 1u64..5_000, 1u32..300, 0u8..3, any::<u16>(), 1u16..40_000, 0.0f64..6.0)
+            .prop_map(|(v, w, packets, slash16s, proto, first_port, unique_ports, mag)| {
+                BackscatterObs {
+                    victim: Ipv4Addr::from(0x0A00_0000 | v),
+                    window: Window(w),
+                    packets,
+                    slash16s,
+                    protocol: [Protocol::Tcp, Protocol::Udp, Protocol::Icmp][proto as usize],
+                    first_port,
+                    unique_ports,
+                    max_ppm: packets as f64 * 10f64.powf(mag) / 7.0,
+                }
+            })
+    }
+
+    proptest! {
+        /// Sort-and-fold ≡ the hash-map merge, field for field, f64 bits
+        /// included.
+        #[test]
+        fn sort_merge_equals_hash_merge(observations in prop::collection::vec(arb_obs(), 0..80)) {
+            let merged = merge_same_cell(observations.clone());
+            let oracle = merge_same_cell_oracle(observations);
+            prop_assert_eq!(merged.len(), oracle.len());
+            for (m, o) in merged.iter().zip(&oracle) {
+                prop_assert_eq!((m.victim, m.window, m.packets, m.slash16s), (o.victim, o.window, o.packets, o.slash16s));
+                prop_assert_eq!((m.protocol, m.first_port, m.unique_ports), (o.protocol, o.first_port, o.unique_ports));
+                prop_assert_eq!(m.max_ppm.to_bits(), o.max_ppm.to_bits());
+            }
+        }
     }
 }

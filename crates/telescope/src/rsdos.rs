@@ -13,7 +13,7 @@ use crate::block::{RecordBlock, RecordBlockBuilder};
 use crate::feed::RsdosRecord;
 use attack::Protocol;
 use simcore::time::{SimDuration, Window};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::Ipv4Addr;
 
 /// Classifier thresholds (defaults follow the conservative Moore-style
@@ -59,6 +59,21 @@ impl AttackEpisode {
     /// Inferred duration: number of windows × 5 minutes.
     pub fn duration(&self) -> SimDuration {
         SimDuration::from_secs((self.last_window.0 - self.first_window.0 + 1) * 300)
+    }
+
+    /// A one-window episode opened by `r`.
+    fn starting_at(r: &RsdosRecord) -> AttackEpisode {
+        AttackEpisode {
+            victim: r.victim,
+            first_window: r.window,
+            last_window: r.window,
+            packets: r.packets,
+            peak_ppm: r.max_ppm,
+            protocol: r.protocol,
+            first_port: r.first_port,
+            unique_ports: r.unique_ports,
+            slash16s: r.slash16s,
+        }
     }
 
     /// Whether the episode overlaps `w`.
@@ -108,58 +123,60 @@ impl RsdosClassifier {
 
     /// Group qualifying records into per-victim episodes.
     pub fn episodes(&self, records: &[RsdosRecord]) -> Vec<AttackEpisode> {
-        self.episodes_from_rows(records.iter().cloned())
+        self.episodes_from_rows(|| records.iter().cloned())
     }
 
     /// Episode extraction over an arena-backed block — rows decode on the
     /// fly out of the shared buffer; output is identical to
     /// [`episodes`](RsdosClassifier::episodes) over the same rows.
     pub fn episodes_from_block(&self, block: &RecordBlock) -> Vec<AttackEpisode> {
-        self.episodes_from_rows(block.iter())
+        self.episodes_from_rows(|| block.iter())
     }
 
-    fn episodes_from_rows<I: Iterator<Item = RsdosRecord>>(&self, rows: I) -> Vec<AttackEpisode> {
-        let mut per_victim: HashMap<Ipv4Addr, Vec<RsdosRecord>> = HashMap::new();
-        for r in rows {
-            per_victim.entry(r.victim).or_default().push(r);
+    /// Replay the records in window order: straight from `rows()` when it
+    /// already yields them that way (the classifier's output does), else
+    /// from a stable sort, so same-window records keep their input order.
+    fn episodes_from_rows<I, F>(&self, rows: F) -> Vec<AttackEpisode>
+    where
+        I: Iterator<Item = RsdosRecord>,
+        F: Fn() -> I,
+    {
+        if rows().is_sorted_by_key(|r| r.window) {
+            return self.episodes_in_window_order(rows());
         }
+        let mut recs: Vec<RsdosRecord> = rows().collect();
+        recs.sort_by_key(|r| r.window);
+        self.episodes_in_window_order(recs.into_iter())
+    }
+
+    /// Group window-ordered records into episodes: each victim's open
+    /// episode waits in the map until a gap closes it.
+    fn episodes_in_window_order(
+        &self,
+        rows: impl Iterator<Item = RsdosRecord>,
+    ) -> Vec<AttackEpisode> {
+        let mut open: HashMap<Ipv4Addr, AttackEpisode> = HashMap::new();
         let mut out = Vec::new();
-        for (victim, mut recs) in per_victim {
-            recs.sort_by_key(|r| r.window);
-            let mut current: Option<AttackEpisode> = None;
-            for r in recs {
-                match current.as_mut() {
-                    Some(ep)
-                        if r.window.0 - ep.last_window.0 <= self.thresholds.max_gap_windows + 1 =>
-                    {
+        for r in rows {
+            match open.entry(r.victim) {
+                Entry::Occupied(mut e) => {
+                    let ep = e.get_mut();
+                    if r.window.0 - ep.last_window.0 <= self.thresholds.max_gap_windows + 1 {
                         ep.last_window = r.window;
                         ep.packets += r.packets;
                         ep.peak_ppm = ep.peak_ppm.max(r.max_ppm);
                         ep.unique_ports = ep.unique_ports.max(r.unique_ports);
                         ep.slash16s = ep.slash16s.max(r.slash16s);
-                    }
-                    _ => {
-                        if let Some(done) = current.take() {
-                            out.push(done);
-                        }
-                        current = Some(AttackEpisode {
-                            victim,
-                            first_window: r.window,
-                            last_window: r.window,
-                            packets: r.packets,
-                            peak_ppm: r.max_ppm,
-                            protocol: r.protocol,
-                            first_port: r.first_port,
-                            unique_ports: r.unique_ports,
-                            slash16s: r.slash16s,
-                        });
+                    } else {
+                        out.push(std::mem::replace(ep, AttackEpisode::starting_at(&r)));
                     }
                 }
-            }
-            if let Some(done) = current.take() {
-                out.push(done);
+                Entry::Vacant(e) => {
+                    e.insert(AttackEpisode::starting_at(&r));
+                }
             }
         }
+        out.extend(open.into_values());
         out.sort_by_key(|e| (e.first_window, u32::from(e.victim)));
         out
     }
@@ -298,7 +315,58 @@ mod proptests {
         )
     }
 
+    /// The per-victim hash-map grouping the window-order grouping replaced,
+    /// kept as its differential oracle.
+    fn episodes_oracle(c: &RsdosClassifier, records: &[RsdosRecord]) -> Vec<AttackEpisode> {
+        let mut per_victim: HashMap<Ipv4Addr, Vec<RsdosRecord>> = HashMap::new();
+        for r in records {
+            per_victim.entry(r.victim).or_default().push(r.clone());
+        }
+        let mut out = Vec::new();
+        for (_, mut recs) in per_victim {
+            recs.sort_by_key(|r| r.window);
+            let mut rows = recs.into_iter();
+            let Some(first) = rows.next() else { continue };
+            let mut ep = AttackEpisode::starting_at(&first);
+            for r in rows {
+                if r.window.0 - ep.last_window.0 <= c.thresholds.max_gap_windows + 1 {
+                    ep.last_window = r.window;
+                    ep.packets += r.packets;
+                    ep.peak_ppm = ep.peak_ppm.max(r.max_ppm);
+                    ep.unique_ports = ep.unique_ports.max(r.unique_ports);
+                    ep.slash16s = ep.slash16s.max(r.slash16s);
+                } else {
+                    out.push(ep);
+                    ep = AttackEpisode::starting_at(&r);
+                }
+            }
+            out.push(ep);
+        }
+        out.sort_by_key(|e| (e.first_window, u32::from(e.victim)));
+        out
+    }
+
     proptest! {
+        /// Window-order grouping ≡ the per-victim hash-map grouping, on
+        /// unsorted and sorted record lists with duplicate windows.
+        #[test]
+        fn sorted_grouping_equals_hash_grouping(observations in prop::collection::vec(arb_obs(), 0..60)) {
+            let c = RsdosClassifier::new(RsdosThresholds {
+                min_packets: 10,
+                min_slash16s: 2,
+                max_gap_windows: 1,
+            });
+            let mut records = c.classify(&observations);
+            let got = c.episodes(&records);
+            let want = episodes_oracle(&c, &records);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            // Window-ordered input takes the path that skips the sort.
+            records.sort_by_key(|r| r.window);
+            let got = c.episodes(&records);
+            let want = episodes_oracle(&c, &records);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+
         /// classify→block→episodes ≡ classify→rows→episodes on arbitrary
         /// observation mixes: the arena path may never change the feed.
         #[test]

@@ -10,9 +10,11 @@
 //! The metrics registry is process-global, so every test serializes on
 //! [`lock`] and asserts on counter *deltas*.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+use dnsimpactd::index::FnvWriter;
 use dnsimpactd::{
     checkpoint, feed, http_get, DomainDir, FeedConfig, IndexState, IngestConfig, Ingestor, Server,
     ServerConfig, Telemetry, TelemetryConfig,
@@ -111,6 +113,22 @@ fn feed_build_is_jobs_invariant() {
     assert_eq!(a.batches.len(), b.batches.len());
     assert_eq!(a.total_records, b.total_records);
     assert_eq!(clean_fingerprint(&a), clean_fingerprint(&b));
+}
+
+/// The pinned 15k serving feed (the CI daemon gate's and the benchmark's
+/// feed) is locked to the batch stream the feed source emitted before its
+/// simulation front was sharded: FNV-1a over the batches' `Debug` form,
+/// which prints every f64 in shortest round-trip form. Equality across
+/// `jobs` alone could not show that the stream itself never changed.
+#[test]
+fn pinned_feed_matches_golden_fingerprint() {
+    let _g = lock();
+    for jobs in [1, 2, 8] {
+        let src = feed::build(&FeedConfig::pinned(15_000), jobs);
+        let mut w = FnvWriter::new();
+        write!(w, "{:?}", src.batches).expect("hashing never fails");
+        assert_eq!(w.finish(), 0xfb79_ae82_6ef8_1aab, "pinned 15k feed changed at jobs={jobs}");
+    }
 }
 
 #[test]

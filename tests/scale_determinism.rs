@@ -11,7 +11,9 @@
 
 use bench_support::divisor_for_target;
 use dnsimpact::prelude::*;
+use dnsimpactd::index::FnvWriter;
 use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
+use std::fmt::Write as _;
 
 /// Run the pinned longitudinal pipeline at a sweep scale target and
 /// fingerprint every deterministic artifact layer: the episode CSV, the
@@ -44,7 +46,14 @@ fn run_at(scale_target: u64, jobs: usize, chaos_seed: Option<u64>) -> (String, S
     )
 }
 
-fn assert_scale_deterministic(scale_target: u64) {
+/// FNV-1a over the three artifact layers `run_at` returns.
+fn artifact_fingerprint(artifacts: &(String, String, String)) -> u64 {
+    let mut w = FnvWriter::new();
+    write!(w, "{}|{}|{}", artifacts.0, artifacts.1, artifacts.2).expect("hashing never fails");
+    w.finish()
+}
+
+fn assert_scale_deterministic(scale_target: u64) -> (String, String, String) {
     let base = run_at(scale_target, 1, None);
     assert!(!base.0.is_empty(), "scale {scale_target} produced episodes");
 
@@ -57,6 +66,7 @@ fn assert_scale_deterministic(scale_target: u64) {
     assert_eq!(base.0, chaos.0, "chaos changed the episode CSV at scale {scale_target}");
     assert_eq!(base.1, chaos.1, "chaos changed the joined events at scale {scale_target}");
     assert_eq!(base.2, chaos.2, "chaos changed the impacts at scale {scale_target}");
+    base
 }
 
 fn heavy_level() -> u64 {
@@ -67,9 +77,13 @@ fn heavy_level() -> u64 {
     }
 }
 
+/// The 15k artifacts are also pinned to what the pipeline produced
+/// before its simulation front was sharded: jobs and chaos invariance
+/// alone could not show that the artifacts themselves never changed.
 #[test]
 fn sweep_scale_15k_is_jobs_and_chaos_invariant() {
-    assert_scale_deterministic(15_000);
+    let base = assert_scale_deterministic(15_000);
+    assert_eq!(artifact_fingerprint(&base), 0x74ad_a70b_5d78_b7c6, "15k artifacts changed");
 }
 
 #[test]
@@ -78,7 +92,7 @@ fn sweep_scale_150k_is_jobs_and_chaos_invariant_heavy() {
         eprintln!("skipped: set DNSIMPACT_SCALE_HEAVY=1 to run the 150k cell");
         return;
     }
-    assert_scale_deterministic(150_000);
+    let _ = assert_scale_deterministic(150_000);
 }
 
 #[test]
@@ -87,5 +101,5 @@ fn sweep_scale_1m5_is_jobs_and_chaos_invariant_heavy() {
         eprintln!("skipped: set DNSIMPACT_SCALE_HEAVY=2 to run the 1.5M cell");
         return;
     }
-    assert_scale_deterministic(1_500_000);
+    let _ = assert_scale_deterministic(1_500_000);
 }
