@@ -9,7 +9,8 @@
 #   perfbench    the repo benchmark (perfbench/, its own cargo package)
 #                builds against the workspace's public layer APIs and its
 #                own tests pass, so an API break fails CI, not the
-#                benchmark run
+#                benchmark run; --locked fails instead of rewriting its
+#                Cargo.lock
 #   determinism  repro at --jobs 1 vs --jobs 2: byte-identical CSVs+stdout
 #   chaos        fault injection, kill -9 mid-run, resume, diff vs clean
 #   metrics      repro bench: schema-validated run report, counter
@@ -238,7 +239,7 @@ gate_tests() {
 
 gate_perfbench() {
     echo "==> perfbench gate: benchmark builds against the workspace and its tests pass"
-    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 }
 
 gate_determinism() {

@@ -7,13 +7,14 @@
 use bench_support::run_experiments;
 use census::AnycastCensus;
 use criterion::{criterion_group, criterion_main, Criterion};
-use dnsimpact_core::impact::{compute_impacts, ImpactConfig};
-use dnsimpact_core::join::join_episodes;
+use dnsimpact_core::columnar::JoinTable;
+use dnsimpact_core::impact::{compute_impacts_columnar, ImpactConfig};
 use dnssim::{LoadBook, Resolver};
 use openintel::SweepSchedule;
 use scenarios::{PaperScale, WorldConfig};
 use simcore::rng::RngFactory;
 use std::hint::black_box;
+use telescope::EpisodeColumns;
 
 fn bench_ablation(c: &mut Criterion) {
     let ex = run_experiments(
@@ -34,13 +35,20 @@ fn bench_ablation(c: &mut Criterion) {
         0.9,
         &rngs,
     );
-    let events = join_episodes(
-        &ex.world.infra,
-        &ex.world.infra,
-        &ex.report.feed.episodes,
-        &ex.world.meta.open_resolvers,
-        false,
-    );
+    let cols = EpisodeColumns::from_episodes(&ex.report.feed.episodes);
+    let join = |collateral| {
+        JoinTable::build(
+            &ex.world.infra,
+            &ex.world.infra,
+            black_box(&cols),
+            &ex.world.meta.open_resolvers,
+            collateral,
+            1,
+            1,
+            None,
+        )
+    };
+    let table = join(false);
 
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
@@ -72,32 +80,23 @@ fn bench_ablation(c: &mut Criterion) {
     ] {
         g.bench_function(format!("compute_impacts/{label}"), |b| {
             b.iter(|| {
-                black_box(compute_impacts(
+                black_box(compute_impacts_columnar(
                     &ex.world.infra,
                     &schedule,
                     &resolver,
                     &loads,
-                    &ex.report.feed.episodes,
-                    &events,
+                    &cols,
+                    &table,
                     &census,
                     &rngs,
                     black_box(&config),
+                    1,
                 ))
             });
         });
     }
     for (label, collateral) in [("direct_only", false), ("with_collateral", true)] {
-        g.bench_function(format!("join/{label}"), |b| {
-            b.iter(|| {
-                black_box(join_episodes(
-                    &ex.world.infra,
-                    &ex.world.infra,
-                    black_box(&ex.report.feed.episodes),
-                    &ex.world.meta.open_resolvers,
-                    collateral,
-                ))
-            });
-        });
+        g.bench_function(format!("join/{label}"), |b| b.iter(|| black_box(join(collateral))));
     }
     g.finish();
 }

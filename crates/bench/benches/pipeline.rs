@@ -4,9 +4,10 @@
 use bench_support::run_experiments;
 use census::OpenResolverList;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dnsimpact_core::join::join_episodes;
+use dnsimpact_core::columnar::JoinTable;
 use scenarios::{PaperScale, WorldConfig};
 use std::hint::black_box;
+use telescope::EpisodeColumns;
 
 fn bench_pipeline(c: &mut Criterion) {
     // Materialize a small world + feed once; benchmark the join and the
@@ -16,16 +17,20 @@ fn bench_pipeline(c: &mut Criterion) {
         PaperScale { divisor: 1_000 },
         &WorldConfig { providers: 30, domains: 8_000, ..WorldConfig::default() },
     );
+    let cols = EpisodeColumns::from_episodes(&ex.report.feed.episodes);
     let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Elements(ex.report.feed.episodes.len() as u64));
+    g.throughput(Throughput::Elements(cols.len() as u64));
     g.bench_function("join_episodes", |b| {
         b.iter(|| {
-            black_box(join_episodes(
+            black_box(JoinTable::build(
                 &ex.world.infra,
                 &ex.world.infra,
-                black_box(&ex.report.feed.episodes),
+                black_box(&cols),
                 &ex.world.meta.open_resolvers,
                 false,
+                1,
+                1,
+                None,
             ))
         });
     });

@@ -1,22 +1,22 @@
-//! Columnar (struct-of-arrays) form of the RSDoS×NSSet join — the scale
-//! sweep's hot path.
+//! Columnar (struct-of-arrays) form of the RSDoS×NSSet join — the
+//! production join.
 //!
-//! [`crate::join`] materializes one [`DnsAttackEvent`] struct per joined
+//! A row join materializes one [`DnsAttackEvent`] struct per joined
 //! episode, each owning three `Vec`s. At paper scale (millions of
-//! episodes) that allocation pattern dominates the join, so the sweep path
+//! episodes) that allocation pattern dominates the join, so the pipeline
 //! builds a [`JoinTable`] instead: per-column arrays plus shared
 //! variable-length pools ([`ColList`]) for the nameserver and NSSet lists.
 //! Victims arrive pre-interned in a [`telescope::EpisodeColumns`] arena
 //! (see [`Interner`], re-exported here as the workspace's canonical intern
 //! type).
 //!
-//! The row join stays in [`crate::join`] as the *reference
-//! implementation*: `tests/columnar_equivalence.rs` drives both paths over
-//! proptest-generated feeds and requires identical events, impacts,
-//! deterministic metrics and trace streams. [`JoinTable::build`] therefore
-//! replicates the reference semantics exactly — same skip rules, same
-//! trace events, same `join.*` counters, same contiguous sharding — only
-//! the storage layout differs.
+//! The sequential row join in [`crate::reference`] is the differential
+//! oracle: `tests/columnar_equivalence.rs` and the crate's
+//! `tests/join_sharding.rs` drive both over generated feeds and require
+//! identical events, impacts, deterministic metrics and trace streams. [`JoinTable::build`] therefore
+//! keeps the reference semantics exactly — same skip rules, same trace
+//! events, same `join.*` counters — and only the storage layout and the
+//! sharding differ.
 
 use crate::join::{DnsAttackEvent, NsDirectory};
 use census::OpenResolverList;
@@ -109,9 +109,10 @@ impl JoinTable {
         self.episode_idx.is_empty()
     }
 
-    /// Join the columnar feed against the nameserver directory — the
-    /// columnar twin of `join::join_episodes_sharded_traced`, with
-    /// identical semantics, counters, and trace emission. The feed is cut
+    /// Join the columnar feed against the nameserver directory, emitting a
+    /// `JoinMatched` trace event under `trace_scope` for every joined row
+    /// (same semantics, counters and trace stream as
+    /// [`crate::reference::join_episodes_traced`]). The feed is cut
     /// into contiguous shards, each worker builds its shard's sub-table,
     /// and the sub-tables are stitched in shard order — so the table is
     /// exactly the sequential result, byte for byte, for any `jobs`.
@@ -222,11 +223,11 @@ impl JoinTable {
     }
 }
 
-/// Join one contiguous shard of the columnar feed. Mirrors the reference
-/// `join::join_chunk` decision-for-decision; the only differences are the
-/// storage layout and the union-count strategy (sorted-merge over the
-/// already-sorted `domains_of_nsset` slices instead of a per-row
-/// `HashSet`).
+/// Join one contiguous shard of the columnar feed. Mirrors
+/// [`crate::reference::join_episodes_traced`] decision-for-decision; the
+/// only differences are the storage layout and the union-count strategy
+/// (sorted-merge over the already-sorted `domains_of_nsset` slices instead
+/// of a per-row `HashSet`).
 #[allow(clippy::too_many_arguments)]
 fn build_chunk(
     infra: &Infra,
@@ -312,7 +313,7 @@ fn build_chunk(
     }
     // Per-shard totals sum to the same whole-feed totals whatever the
     // sharding, so these counters are `--jobs`-independent (and match the
-    // reference path's exactly).
+    // reference join's exactly).
     obs::counter("join.episodes_in").add(episodes_in as u64);
     obs::counter("join.rows_joined").add(table.len() as u64);
     table
@@ -321,7 +322,7 @@ fn build_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::join_episodes_sharded;
+    use crate::reference::join_episodes;
     use attack::Protocol;
     use dnssim::Deployment;
     use netbase::Asn;
@@ -389,16 +390,9 @@ mod tests {
         let eps = feed();
         let cols = EpisodeColumns::from_episodes(&eps);
         for include_collateral in [false, true] {
-            for jobs in [1usize, 2, 8] {
-                let reference = join_episodes_sharded(
-                    &infra,
-                    &infra,
-                    &eps,
-                    &OpenResolverList::new(),
-                    include_collateral,
-                    1,
-                    jobs,
-                );
+            let reference =
+                join_episodes(&infra, &infra, &eps, &OpenResolverList::new(), include_collateral);
+            for jobs in [1usize, 2, 3, 8, 64] {
                 let table = JoinTable::build(
                     &infra,
                     &infra,

@@ -6,14 +6,17 @@
 //! 1. RSDoS feed (victim IPs under attack, per 5-minute window) — from
 //!    the `telescope` crate.
 //! 2. Join victim IPs against the previous day's nameserver list →
-//!    *nameservers under attack* ([`join`]).
-//! 3. Expand through NSSets to the *domains under attack* ([`join`]).
+//!    *nameservers under attack* ([`join`] types, [`columnar`] join).
+//! 3. Expand through NSSets to the *domains under attack* ([`columnar`]).
 //! 4. Join with per-NSSet 5-minute RTT aggregates → `Impact_on_RTT`,
 //!    failure rates ([`impact`]).
 //!
-//! The [`longitudinal`] module orchestrates all of it over a 17-month
-//! attack population and produces every table/figure series of the paper's
-//! evaluation; [`ports`], [`failures`], [`correlate`] and [`resilience`]
+//! [`front`] is the shared simulation front (loads → backscatter →
+//! classification → episodes) that feeds step 1; [`reference`] is the
+//! sequential oracle for steps 2–4 that the differential tests hold the
+//! sharded production path to. The [`longitudinal`] module orchestrates
+//! all of it over a 17-month attack population and produces every
+//! table/figure series of the paper's evaluation; [`ports`], [`failures`], [`correlate`] and [`resilience`]
 //! hold the per-figure analyses; [`casestudy`] computes the TransIP-style
 //! per-nameserver attack metrics (Table 2) and time series (Figures 2–3);
 //! [`report`] renders aligned text tables and CSV; [`enduser`] quantifies
@@ -30,6 +33,7 @@ pub mod impact;
 pub mod join;
 pub mod longitudinal;
 pub mod ports;
+pub mod reference;
 pub mod report;
 pub mod resilience;
 

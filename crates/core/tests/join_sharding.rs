@@ -1,19 +1,20 @@
-//! Shard-boundary behaviour of the parallel RSDoS×NSSet join: for every
-//! worker count the sharded join must reproduce the sequential output
-//! exactly — including episodes of one NSSet split across shards, attacks
-//! starting exactly on a day boundary window, and shards that come up
-//! empty because there are more workers than episodes.
+//! Shard-boundary behaviour of the production RSDoS×NSSet join
+//! ([`JoinTable::build`]): for every worker count the sharded columnar
+//! join must reproduce the sequential reference join exactly — including
+//! episodes of one NSSet split across shards, attacks starting exactly on
+//! a day boundary window, and shards that come up empty because there are
+//! more workers than episodes.
 
 use attack::Protocol;
 use census::OpenResolverList;
-use dnsimpact_core::join::{
-    join_episodes_sharded, join_episodes_with_offset, ChangingDirectory, DnsAttackEvent,
-};
+use dnsimpact_core::columnar::JoinTable;
+use dnsimpact_core::join::{ChangingDirectory, DnsAttackEvent, NsDirectory};
+use dnsimpact_core::reference::join_episodes;
 use dnssim::{Deployment, Infra, NsId};
 use netbase::Asn;
 use simcore::time::Window;
 use std::net::Ipv4Addr;
-use telescope::AttackEpisode;
+use telescope::{AttackEpisode, EpisodeColumns};
 
 fn episode(victim: &str, w: u64) -> AttackEpisode {
     AttackEpisode {
@@ -62,6 +63,18 @@ fn world() -> (Infra, NsId, NsId) {
     (infra, a, b)
 }
 
+/// The production join of `eps` on `jobs` workers, in row form.
+fn sharded(
+    infra: &Infra,
+    directory: &(dyn NsDirectory + Sync),
+    eps: &[AttackEpisode],
+    jobs: usize,
+) -> Vec<DnsAttackEvent> {
+    let cols = EpisodeColumns::from_episodes(eps);
+    JoinTable::build(infra, directory, &cols, &OpenResolverList::new(), false, 1, jobs, None)
+        .to_events()
+}
+
 fn assert_same(seq: &[DnsAttackEvent], par: &[DnsAttackEvent], what: &str) {
     assert_eq!(
         format!("{seq:?}"),
@@ -85,12 +98,10 @@ fn sharded_join_equals_sequential_for_any_worker_count() {
         };
         eps.push(episode(victim, 288 + i * 7));
     }
-    let seq = join_episodes_with_offset(&infra, &infra, &eps, &OpenResolverList::new(), false, 1);
+    let seq = join_episodes(&infra, &infra, &eps, &OpenResolverList::new(), false);
     assert!(!seq.is_empty());
-    for jobs in [2, 3, 5, 8, 64] {
-        let par =
-            join_episodes_sharded(&infra, &infra, &eps, &OpenResolverList::new(), false, 1, jobs);
-        assert_same(&seq, &par, &format!("jobs={jobs}"));
+    for jobs in [1, 2, 3, 5, 8, 64] {
+        assert_same(&seq, &sharded(&infra, &infra, &eps, jobs), &format!("jobs={jobs}"));
     }
 }
 
@@ -105,7 +116,7 @@ fn nsset_straddling_two_shards_yields_both_events() {
         episode("9.100.2.3", 310),
         episode("203.0.113.53", 320),
     ];
-    let par = join_episodes_sharded(&infra, &infra, &eps, &OpenResolverList::new(), false, 1, 2);
+    let par = sharded(&infra, &infra, &eps, 2);
     assert_eq!(par.len(), 2);
     assert_eq!(par[0].episode_idx, 0, "global indices survive sharding");
     assert_eq!(par[0].ns_direct, vec![a]);
@@ -115,7 +126,7 @@ fn nsset_straddling_two_shards_yields_both_events() {
     // one of its members.
     let shared: Vec<_> = par[0].nssets.iter().filter(|s| par[1].nssets.contains(s)).collect();
     assert!(!shared.is_empty(), "the straddling NSSet appears in both events");
-    let seq = join_episodes_with_offset(&infra, &infra, &eps, &OpenResolverList::new(), false, 1);
+    let seq = join_episodes(&infra, &infra, &eps, &OpenResolverList::new(), false);
     assert_same(&seq, &par, "straddling NSSet");
 }
 
@@ -136,14 +147,13 @@ fn day_boundary_window_joins_identically_across_shards() {
         episode("9.100.2.3", 290),
         episode("195.135.195.195", 287), // last window of day 0
     ];
-    let seq = join_episodes_with_offset(&infra, &dir, &eps, &OpenResolverList::new(), false, 1);
+    let seq = join_episodes(&infra, &dir, &eps, &OpenResolverList::new(), false);
     assert_eq!(seq.len(), 2);
     assert_eq!(seq[0].episode_idx, 1, "day-boundary attack joined via day 0's list");
     assert_eq!(seq[0].ns_direct, vec![a]);
     assert_eq!(seq[1].episode_idx, 3, "same-day (day 0) attack also joined");
-    for jobs in [2, 3, 4] {
-        let par =
-            join_episodes_sharded(&infra, &dir, &eps, &OpenResolverList::new(), false, 1, jobs);
+    for jobs in [1, 2, 3, 4] {
+        let par = sharded(&infra, &dir, &eps, jobs);
         assert_same(&seq, &par, &format!("day boundary, jobs={jobs}"));
     }
 }
@@ -152,14 +162,16 @@ fn day_boundary_window_joins_identically_across_shards() {
 fn more_workers_than_episodes_handles_empty_shards() {
     let (infra, ..) = world();
     let eps = vec![episode("195.135.195.195", 288), episode("203.0.113.53", 300)];
-    let seq = join_episodes_with_offset(&infra, &infra, &eps, &OpenResolverList::new(), false, 1);
-    let par = join_episodes_sharded(&infra, &infra, &eps, &OpenResolverList::new(), false, 1, 64);
-    assert_same(&seq, &par, "jobs=64 over 2 episodes");
+    let seq = join_episodes(&infra, &infra, &eps, &OpenResolverList::new(), false);
+    assert_same(&seq, &sharded(&infra, &infra, &eps, 64), "jobs=64 over 2 episodes");
     // Degenerate inputs: one episode and none at all.
-    let one =
-        join_episodes_sharded(&infra, &infra, &eps[..1], &OpenResolverList::new(), false, 1, 8);
+    let one = sharded(&infra, &infra, &eps[..1], 8);
     assert_eq!(one.len(), 1);
-    let none: Vec<AttackEpisode> = Vec::new();
-    let empty = join_episodes_sharded(&infra, &infra, &none, &OpenResolverList::new(), false, 1, 8);
+    assert_same(
+        &join_episodes(&infra, &infra, &eps[..1], &OpenResolverList::new(), false),
+        &one,
+        "one episode",
+    );
+    let empty = sharded(&infra, &infra, &[], 8);
     assert!(empty.is_empty());
 }

@@ -26,6 +26,7 @@
 //! every offered query accounted for exactly once — plus finite floats,
 //! a `0x`-prefixed fingerprint, and a well-formed date.
 
+use crate::check::{check_schema, require, require_date, require_finite_f64, require_u64};
 use crate::json::Json;
 
 /// Schema identifier carried in every daemon report.
@@ -188,31 +189,6 @@ impl DaemonReport {
     }
 }
 
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        if v.as_u64().is_none() {
-            errors.push(format!("{path}.{key} must be an unsigned integer"));
-        }
-    }
-}
-
-fn require_finite_f64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        match v.as_f64() {
-            Some(f) if f.is_finite() => {}
-            _ => errors.push(format!("{path}.{key} must be a finite number")),
-        }
-    }
-}
-
 /// Validate a document against schema `dnsimpactd-report/v1`. Returns the
 /// full list of violations rather than stopping at the first. Beyond
 /// field shape this enforces the shed-accounting identity
@@ -220,33 +196,13 @@ fn require_finite_f64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String
 /// fingerprint.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == DAEMON_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {DAEMON_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
+    check_schema(doc, DAEMON_SCHEMA_ID, &mut errors);
     if let Some(meta) = require(doc, "meta", "$", &mut errors) {
         for key in ["seed", "scale", "months", "jobs", "clients", "staleness_bound_s"] {
             require_u64(meta, key, "$.meta", &mut errors);
         }
         require_finite_f64(meta, "zipf_s", "$.meta", &mut errors);
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
+        require_date(meta, "$.meta", &mut errors);
     }
     if let Some(ingest) = require(doc, "ingest", "$", &mut errors) {
         for key in ["batches", "records", "episodes", "wall_ms"] {

@@ -76,6 +76,7 @@
 //!   nondeterministic can ever reach the stdout that the CI determinism
 //!   diff compares.
 
+mod check;
 pub mod daemon;
 pub mod expo;
 pub mod hist;

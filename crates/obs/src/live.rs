@@ -25,6 +25,7 @@
 //! is how a committed report proves no sample was dropped or
 //! double-counted across ring wrap.
 
+use crate::check::{check_schema, require, require_date, require_u64};
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::metrics::Snapshot;
@@ -197,27 +198,6 @@ pub fn build(
     doc
 }
 
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<u64> {
-    match require(obj, key, path, errors) {
-        Some(v) => match v.as_u64() {
-            Some(n) => Some(n),
-            None => {
-                errors.push(format!("{path}.{key} must be an unsigned integer"));
-                None
-            }
-        },
-        None => None,
-    }
-}
-
 fn u64_array(v: &Json, path: &str, errors: &mut Vec<String>) -> Option<Vec<u64>> {
     match v.as_array() {
         Some(items) => {
@@ -299,11 +279,7 @@ fn validate_series(list: &Json, path: &str, errors: &mut Vec<String>) {
 /// violations (see module docs for what is enforced).
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == LIVE_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {LIVE_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
+    check_schema(doc, LIVE_SCHEMA_ID, &mut errors);
     if let Some(meta) = require(doc, "meta", "$", &mut errors) {
         for key in ["seed", "scale", "months", "jobs", "tick_cap"] {
             require_u64(meta, key, "$.meta", &mut errors);
@@ -320,23 +296,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             Some(_) => errors.push("$.meta.chaos_seed must be an unsigned integer or null".into()),
             None => errors.push("missing field $.meta.chaos_seed".into()),
         }
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
+        require_date(meta, "$.meta", &mut errors);
     }
     if let Some(det) = require(doc, "deterministic", "$", &mut errors) {
         if let Some(fin) = require(det, "final", "$.deterministic", &mut errors) {

@@ -42,6 +42,7 @@
 //! without it stay valid; the suite orchestrator requires it to merge
 //! per-process distributions exactly ([`crate::hist`]).
 
+use crate::check::{check_schema, require, require_date, require_u64};
 use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, Snapshot};
 use crate::trace::{EventKind, TraceSummary};
@@ -334,14 +335,6 @@ impl RunReport {
     }
 }
 
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
 // `from_json` accessors: like `require*` but fallible-by-return, for the
 // reconstruction path — a missing or mistyped field yields a named error
 // the caller can surface, never a panic.
@@ -376,14 +369,6 @@ fn want_object<'a>(
     want(obj, path, key)?
         .as_object()
         .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an object")])
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        if v.as_u64().is_none() {
-            errors.push(format!("{path}.{key} must be an unsigned integer"));
-        }
-    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -469,11 +454,7 @@ pub fn validate_legacy_v1(doc: &Json) -> Result<(), Vec<String>> {
 fn validate_as(doc: &Json, legacy: bool) -> Result<(), Vec<String>> {
     let want_schema = if legacy { LEGACY_SCHEMA_ID } else { SCHEMA_ID };
     let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == want_schema => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {want_schema:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
+    check_schema(doc, want_schema, &mut errors);
     if let Some(meta) = require(doc, "meta", "$", &mut errors) {
         let meta_keys: &[&str] =
             if legacy { &["seed", "scale", "jobs"] } else { &["seed", "scale", "jobs", "run"] };
@@ -488,23 +469,7 @@ fn validate_as(doc: &Json, legacy: bool) -> Result<(), Vec<String>> {
             Some(Json::Bool(_)) | None => {}
             Some(_) => errors.push("$.meta.bench must be a boolean".into()),
         }
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
+        require_date(meta, "$.meta", &mut errors);
         match require(meta, "experiments", "$.meta", &mut errors) {
             Some(Json::Array(items)) if items.iter().any(|e| e.as_str().is_none()) => {
                 errors.push("$.meta.experiments entries must be strings".into());

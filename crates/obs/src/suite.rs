@@ -43,6 +43,7 @@
 //! exact. The `verdicts` table names every enforced check so a CI failure
 //! points at a cell, not a blanket diff.
 
+use crate::check::{check_schema, require, require_date, require_str, require_u64};
 use crate::hist::Hist;
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -356,39 +357,8 @@ impl SuiteReport {
     }
 }
 
-fn require<'a>(doc: &'a Json, path: &str, key: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = doc.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(doc: &Json, path: &str, key: &str, errors: &mut Vec<String>) -> Option<u64> {
-    let v = require(doc, path, key, errors)?;
-    let n = v.as_u64();
-    if n.is_none() {
-        errors.push(format!("{path}.{key} must be an unsigned integer"));
-    }
-    n
-}
-
-fn require_str<'a>(
-    doc: &'a Json,
-    path: &str,
-    key: &str,
-    errors: &mut Vec<String>,
-) -> Option<&'a str> {
-    let v = require(doc, path, key, errors)?;
-    let s = v.as_str();
-    if s.is_none() {
-        errors.push(format!("{path}.{key} must be a string"));
-    }
-    s
-}
-
 fn check_percentiles(doc: &Json, path: &str, processes: Option<u64>, errors: &mut Vec<String>) {
-    let mut field = |key: &str| require_u64(doc, path, key, errors);
+    let mut field = |key: &str| require_u64(doc, key, path, errors);
     let (count, min, p50, p95, p99, max) =
         (field("count"), field("min"), field("p50"), field("p95"), field("p99"), field("max"));
     if let (Some(c), Some(p)) = (count, processes) {
@@ -410,13 +380,6 @@ fn check_percentiles(doc: &Json, path: &str, processes: Option<u64>, errors: &mu
     }
 }
 
-fn check_date(d: &str) -> bool {
-    d.len() == 10
-        && d.bytes()
-            .enumerate()
-            .all(|(i, b)| if i == 4 || i == 7 { b == b'-' } else { b.is_ascii_digit() })
-}
-
 /// Validate a document against schema `dnsimpact-suite/v1`. Returns every
 /// violation, not just the first. Beyond field shapes this enforces the
 /// cross-field accounting:
@@ -430,23 +393,15 @@ fn check_date(d: &str) -> bool {
 ///   ([`Hist::from_json`]: bucket accounting and honest percentiles).
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == SUITE_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {SUITE_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
+    check_schema(doc, SUITE_SCHEMA_ID, &mut errors);
 
     let mut suites_kind: Option<String> = None;
     let mut meta_processes: Option<u64> = None;
-    if let Some(meta) = require(doc, "$", "meta", &mut errors) {
-        require_u64(meta, "$.meta", "seed", &mut errors);
-        meta_processes = require_u64(meta, "$.meta", "processes", &mut errors);
-        if let Some(d) = require_str(meta, "$.meta", "date", &mut errors) {
-            if !check_date(d) {
-                errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-            }
-        }
-        if let Some(s) = require_str(meta, "$.meta", "suites", &mut errors) {
+    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
+        require_u64(meta, "seed", "$.meta", &mut errors);
+        meta_processes = require_u64(meta, "processes", "$.meta", &mut errors);
+        require_date(meta, "$.meta", &mut errors);
+        if let Some(s) = require_str(meta, "suites", "$.meta", &mut errors) {
             if matches!(s, "A" | "B" | "all") {
                 suites_kind = Some(s.to_string());
             } else {
@@ -459,33 +414,33 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     }
 
     let mut a_cells = 0u64;
-    match require(doc, "$", "suite_a", &mut errors) {
+    match require(doc, "suite_a", "$", &mut errors) {
         Some(Json::Array(cells)) => {
             a_cells = cells.len() as u64;
             let mut labels = Vec::new();
             for (i, c) in cells.iter().enumerate() {
                 let path = format!("$.suite_a[{i}]");
-                if let Some(label) = require_str(c, &path, "cell", &mut errors) {
+                if let Some(label) = require_str(c, "cell", &path, &mut errors) {
                     if labels.contains(&label) {
                         errors.push(format!("{path}.cell {label:?} duplicates an earlier cell"));
                     }
                     labels.push(label);
                 }
-                if let Some(kind) = require_str(c, &path, "kind", &mut errors) {
+                if let Some(kind) = require_str(c, "kind", &path, &mut errors) {
                     if !matches!(kind, "repro" | "daemon") {
                         errors
                             .push(format!("{path}.kind {kind:?} must be \"repro\" or \"daemon\""));
                     }
                 }
                 for key in ["scale", "jobs", "wall_ms", "peak_rss_kb", "records"] {
-                    require_u64(c, &path, key, &mut errors);
+                    require_u64(c, key, &path, &mut errors);
                 }
                 if let Some(jobs) = c.get("jobs").and_then(Json::as_u64) {
                     if jobs == 0 {
                         errors.push(format!("{path}.jobs must be at least 1"));
                     }
                 }
-                if let Some(v) = require(c, &path, "records_per_sec", &mut errors) {
+                if let Some(v) = require(c, "records_per_sec", &path, &mut errors) {
                     match v.as_f64() {
                         Some(r) if r.is_finite() && r >= 0.0 => {}
                         Some(r) => errors
@@ -493,7 +448,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
                         None => errors.push(format!("{path}.records_per_sec must be a number")),
                     }
                 }
-                require_str(c, &path, "fingerprint", &mut errors);
+                require_str(c, "fingerprint", &path, &mut errors);
             }
         }
         Some(_) => errors.push("$.suite_a must be an array".into()),
@@ -501,12 +456,12 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     }
 
     let mut b_processes = 0u64;
-    match require(doc, "$", "suite_b", &mut errors) {
+    match require(doc, "suite_b", "$", &mut errors) {
         Some(Json::Array(rows)) => {
             let mut prev_scale: Option<u64> = None;
             for (i, s) in rows.iter().enumerate() {
                 let path = format!("$.suite_b[{i}]");
-                let scale = require_u64(s, &path, "scale", &mut errors);
+                let scale = require_u64(s, "scale", &path, &mut errors);
                 if let (Some(prev), Some(cur)) = (prev_scale, scale) {
                     if cur <= prev {
                         errors.push(format!(
@@ -516,14 +471,14 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
                     }
                 }
                 prev_scale = scale.or(prev_scale);
-                let procs = require_u64(s, &path, "processes", &mut errors);
+                let procs = require_u64(s, "processes", &path, &mut errors);
                 match procs {
                     Some(0) => errors.push(format!("{path}.processes must be at least 1")),
                     Some(p) => b_processes += p,
                     None => {}
                 }
                 for key in ["wall_ms", "peak_rss_kb", "records_per_sec"] {
-                    match require(s, &path, key, &mut errors) {
+                    match require(s, key, &path, &mut errors) {
                         Some(block) if block.as_object().is_some() => {
                             check_percentiles(block, &format!("{path}.{key}"), procs, &mut errors);
                         }
@@ -531,7 +486,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
                         None => {}
                     }
                 }
-                match require(s, &path, "merged", &mut errors) {
+                match require(s, "merged", &path, &mut errors) {
                     Some(Json::Object(pairs)) => {
                         for (name, h) in pairs {
                             if let Err(mut hist_errors) =
@@ -573,13 +528,13 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         }
     }
 
-    match require(doc, "$", "verdicts", &mut errors) {
+    match require(doc, "verdicts", "$", &mut errors) {
         Some(Json::Array(items)) => {
             for (i, v) in items.iter().enumerate() {
                 let path = format!("$.verdicts[{i}]");
-                require_str(v, &path, "cell", &mut errors);
-                require_str(v, &path, "detail", &mut errors);
-                match require(v, &path, "pass", &mut errors) {
+                require_str(v, "cell", &path, &mut errors);
+                require_str(v, "detail", &path, &mut errors);
+                match require(v, "pass", &path, &mut errors) {
                     Some(Json::Bool(_)) | None => {}
                     Some(_) => errors.push(format!("{path}.pass must be a boolean")),
                 }

@@ -28,6 +28,7 @@
 //! [`validate`] rejects unsorted or duplicate cells and any non-finite
 //! float, so a NaN throughput can never reach a committed artifact.
 
+use crate::check::{check_schema, require, require_date, require_finite_f64, require_u64};
 use crate::json::Json;
 
 /// Schema identifier carried in every sweep report.
@@ -179,33 +180,6 @@ impl SweepReport {
     }
 }
 
-fn require<'a>(obj: &'a Json, key: &str, path: &str, errors: &mut Vec<String>) -> Option<&'a Json> {
-    let v = obj.get(key);
-    if v.is_none() {
-        errors.push(format!("missing field {path}.{key}"));
-    }
-    v
-}
-
-fn require_u64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        if v.as_u64().is_none() {
-            errors.push(format!("{path}.{key} must be an unsigned integer"));
-        }
-    }
-}
-
-fn require_finite_f64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String>) {
-    if let Some(v) = require(obj, key, path, errors) {
-        match v.as_f64() {
-            Some(f) if f.is_finite() => {}
-            // The JSON writer renders non-finite floats as null, so a NaN
-            // produced upstream surfaces here as Null either way.
-            _ => errors.push(format!("{path}.{key} must be a finite number")),
-        }
-    }
-}
-
 /// Validate a document against schema `dnsimpact-sweep/v1`. Returns the
 /// full list of violations rather than stopping at the first. Beyond field
 /// shape this enforces the artifact invariants: cells strictly sorted by
@@ -213,11 +187,7 @@ fn require_finite_f64(obj: &Json, key: &str, path: &str, errors: &mut Vec<String
 /// and `records` consistent with its breakdown.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == SWEEP_SCHEMA_ID => {}
-        Some(s) => errors.push(format!("schema is {s:?}, expected {SWEEP_SCHEMA_ID:?}")),
-        None => errors.push("missing string field $.schema".into()),
-    }
+    check_schema(doc, SWEEP_SCHEMA_ID, &mut errors);
     if let Some(meta) = require(doc, "meta", "$", &mut errors) {
         require_u64(meta, "seed", "$.meta", &mut errors);
         require_u64(meta, "heavy", "$.meta", &mut errors);
@@ -225,23 +195,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             Some(Json::Null) | Some(Json::U64(_)) | None => {}
             Some(_) => errors.push("$.meta.chaos_seed must be null or an unsigned integer".into()),
         }
-        match require(meta, "date", "$.meta", &mut errors) {
-            Some(Json::Str(d)) => {
-                let ok = d.len() == 10
-                    && d.bytes().enumerate().all(|(i, b)| {
-                        if i == 4 || i == 7 {
-                            b == b'-'
-                        } else {
-                            b.is_ascii_digit()
-                        }
-                    });
-                if !ok {
-                    errors.push(format!("$.meta.date {d:?} is not YYYY-MM-DD"));
-                }
-            }
-            Some(_) => errors.push("$.meta.date must be a string".into()),
-            None => {}
-        }
+        require_date(meta, "$.meta", &mut errors);
     }
     match require(doc, "cells", "$", &mut errors) {
         Some(Json::Array(items)) => {

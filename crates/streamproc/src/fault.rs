@@ -55,7 +55,7 @@ pub struct ChaosConfig {
     pub hold_prob: f64,
     /// Maximum records a held message waits before late delivery.
     pub max_hold: u32,
-    /// Probability that a stage incarnation is crashed before finishing.
+    /// Probability that a task attempt is crashed before finishing.
     pub crash_prob: f64,
     /// Hard cap on planned crashes per task, so the supervisor's bounded
     /// restart budget always suffices and chaos runs always terminate.
@@ -156,7 +156,7 @@ impl FaultPlan {
         }
     }
 
-    /// How many incarnations of logical task `task` are crashed before one
+    /// How many attempts of logical task `task` are crashed before one
     /// is allowed to finish. Always `<= cfg.max_crashes`, so a supervisor
     /// with `max_restarts >= max_crashes` is guaranteed to terminate.
     pub fn planned_crashes(&self, task: u64) -> u32 {
@@ -167,17 +167,6 @@ impl FaultPlan {
             n += 1;
         }
         n
-    }
-
-    /// For incarnation `attempt` of `task` over `remaining` inputs: the
-    /// number of inputs processed before the injected panic, or `None` if
-    /// this incarnation runs to completion.
-    pub fn crash_point(&self, task: u64, attempt: u32, remaining: u64) -> Option<u64> {
-        if attempt >= self.planned_crashes(task) {
-            return None;
-        }
-        let u = self.unit(hash_label("crash-point"), task ^ remaining, attempt as u64);
-        Some((u * (remaining + 1) as f64) as u64)
     }
 }
 
@@ -360,13 +349,7 @@ mod tests {
     fn planned_crashes_are_bounded() {
         let p = plan(ChaosConfig::CALIBRATED);
         for task in 0..200 {
-            let c = p.planned_crashes(task);
-            assert!(c <= ChaosConfig::CALIBRATED.max_crashes);
-            // Crash points exist exactly for attempts below the planned count.
-            for attempt in 0..c {
-                assert!(p.crash_point(task, attempt, 50).is_some());
-            }
-            assert!(p.crash_point(task, c, 50).is_none());
+            assert!(p.planned_crashes(task) <= ChaosConfig::CALIBRATED.max_crashes);
         }
         assert!(
             (0..200).any(|t| p.planned_crashes(t) > 0),

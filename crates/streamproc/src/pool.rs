@@ -1,27 +1,18 @@
 //! Work-stealing worker pools over `std::thread::scope`.
 //!
-//! Two shapes of parallelism, both determinism-friendly:
-//!
-//! - [`parallel_map`]: run a closure over a batch of items on up to N
-//!   worker threads pulling from a shared queue, and return the results
-//!   **in input order**. Thread count and scheduling never affect the
-//!   output, only the wall clock — callers derive any randomness from
-//!   per-item labels/indices (see `simcore::rng::RngFactory`), never from
-//!   shared mutable RNG state.
-//! - [`spawn_pool`]: a bounded pool of stage workers draining one
-//!   [`Consumer`] and publishing to one [`Topic`] — the multi-worker
-//!   generalization of [`crate::spawn_stage`]. Output order across workers
-//!   is *not* deterministic; use it for throughput paths where the
-//!   downstream aggregation is order-insensitive, or re-sort downstream.
+//! [`parallel_map`] runs a closure over a batch of items on up to N worker
+//! threads pulling from a shared queue, and returns the results **in input
+//! order**. Thread count and scheduling never affect the output, only the
+//! wall clock — callers derive any randomness from per-item labels/indices
+//! (see `simcore::rng::RngFactory`), never from shared mutable RNG state.
+//! [`parallel_map_supervised`] adds bounded-restart supervision with
+//! injected crashes for chaos runs.
 
-use crate::exec::StageHandle;
 use crate::fault::{injected_crash, FaultPlan};
 use crate::supervise::{SuperviseStats, SupervisorConfig};
-use crate::topic::{Consumer, Topic};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -220,83 +211,6 @@ where
     (out, stats)
 }
 
-/// Handle to a running worker pool (see [`spawn_pool`]).
-pub struct PoolHandle {
-    name: String,
-    handles: Vec<StageHandle>,
-}
-
-impl PoolHandle {
-    /// Wait for every worker to finish; returns the total number of
-    /// messages the pool emitted. Panics (propagates) if any worker
-    /// panicked.
-    pub fn join(self) -> u64 {
-        self.handles.into_iter().map(StageHandle::join).sum()
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-}
-
-/// Spawn a flat-map stage running on `workers` threads: the workers share
-/// `input` (each message is processed by exactly one worker), and each
-/// output of `f` is published to `out`. When the input ends and every
-/// worker has drained, the last worker out closes `out`.
-///
-/// `workers == 0` uses the machine's available parallelism;
-/// `workers == 1` is exactly [`crate::spawn_stage`] plus the shared-input
-/// plumbing. Cross-worker output order is unspecified.
-pub fn spawn_pool<I, O, F>(
-    name: &str,
-    workers: usize,
-    input: Consumer<I>,
-    out: Topic<O>,
-    f: F,
-) -> PoolHandle
-where
-    I: Send + 'static,
-    O: Clone + Send + 'static,
-    F: Fn(I) -> Vec<O> + Send + Sync + 'static,
-{
-    let workers = effective_jobs(workers);
-    let input = Arc::new(input);
-    let f = Arc::new(f);
-    let live = Arc::new(AtomicUsize::new(workers));
-    let mut handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let worker_name = format!("{name}[{w}/{workers}]");
-        let input = Arc::clone(&input);
-        let out = out.clone();
-        let f = Arc::clone(&f);
-        let live = Arc::clone(&live);
-        handles.push(StageHandle::spawn(&worker_name, move || {
-            let mut emitted = 0u64;
-            let task_ms = obs::histogram("time.pool.stage_task_ms");
-            while let Some(msg) = input.recv() {
-                obs::counter("pool.stage_messages").incr();
-                let start = Instant::now();
-                for o in f(msg) {
-                    out.publish(o);
-                    emitted += 1;
-                }
-                task_ms.record(start.elapsed().as_millis() as u64);
-            }
-            // Last worker to drain the (now ended) input closes the
-            // output so downstream consumers see end-of-stream.
-            if live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                out.close();
-            }
-            emitted
-        }));
-    }
-    PoolHandle { name: name.to_string(), handles }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,32 +306,5 @@ mod tests {
             })
         }));
         assert!(r.is_err(), "real panics escape after the restart budget");
-    }
-
-    #[test]
-    fn pool_shares_work_exactly_once() {
-        let src: Topic<u64> = Topic::new("src");
-        let out: Topic<u64> = Topic::new("out");
-        let pool = spawn_pool("triple", 4, src.subscribe(), out.clone(), |x| vec![x * 3]);
-        assert_eq!(pool.workers(), 4);
-        let sink = crate::exec::sink_to_vec(out.subscribe());
-        for i in 0..1_000 {
-            src.publish(i);
-        }
-        src.close();
-        assert_eq!(pool.join(), 1_000, "every input processed exactly once");
-        let mut got = sink.join().unwrap();
-        got.sort();
-        assert_eq!(got, (0..1_000).map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_worker_names_enumerate() {
-        let src: Topic<u8> = Topic::new("src");
-        let out: Topic<u8> = Topic::new("out");
-        let pool = spawn_pool("stage", 2, src.subscribe(), out, |x| vec![x]);
-        assert_eq!(pool.name(), "stage");
-        src.close();
-        pool.join();
     }
 }

@@ -1,5 +1,5 @@
-//! Supervised stages: bounded restarts, at-least-once delivery, idempotent
-//! dedup.
+//! Supervised delivery and execution: at-least-once transport with
+//! idempotent dedup, and bounded restarts.
 //!
 //! Recovery is layered the way the paper's stack layers Kafka under Spark
 //! (§4.3.1):
@@ -9,39 +9,29 @@
 //!    gaps, and retransmits the missing sequences in bounded repair rounds.
 //!    The final round is fault-free, so delivery always terminates with the
 //!    exact input batch, in order.
-//! 2. **Stage supervision** ([`supervised_flat_map`]): the stage body runs
-//!    in worker incarnations that are restarted (bounded, with exponential
-//!    backoff) when they panic — whether the panic is an injected
-//!    [`crate::fault::InjectedCrash`] or a real bug. Restarts resume from an
-//!    acknowledged input watermark, so any input processed after the last
-//!    ack is redelivered; outputs are keyed `(input seq, output index)` and
-//!    deduped at the sink, making redelivery idempotent.
+//! 2. **Task supervision** ([`crate::pool::parallel_map_supervised`]): each
+//!    task runs in a retry loop that is restarted (bounded, with
+//!    exponential backoff) when it panics — whether the panic is an
+//!    injected [`crate::fault::InjectedCrash`] or a real bug. Tasks are
+//!    pure in their inputs, so a retried task returns the same result.
 //!
 //! Together these give the headline invariant: for a deterministic stage
 //! body, *fault-free output ≡ faulted-and-recovered output*.
 
 use crate::exec::{sink_to_vec, spawn_stage};
-use crate::fault::{injected_crash, spawn_chaos_stage, FaultPlan, Seq};
+use crate::fault::{spawn_chaos_stage, FaultPlan, Seq};
 use crate::topic::Topic;
-use simcore::rng::hash_label;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-/// Restart and delivery policy for supervised stages.
+/// Restart and delivery policy for supervised tasks and transports.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
-    /// Restart budget per stage; the panic propagates once it is exhausted.
+    /// Restart budget per task; the panic propagates once it is exhausted.
     /// Keep `>= ChaosConfig::max_crashes` so injected crashes always recover.
     pub max_restarts: u32,
     /// Exponential backoff between restarts: `base << attempt`, capped.
     pub backoff_base_ms: u64,
     pub backoff_cap_ms: u64,
-    /// Advance the ack watermark every N processed inputs. Smaller means
-    /// less redelivery after a crash; larger exercises dedup harder.
-    pub ack_interval: u64,
     /// Chaos repair rounds before the transport falls back to a fault-free
     /// retransmission, bounding delivery time.
     pub max_repair_rounds: u32,
@@ -53,7 +43,6 @@ impl Default for SupervisorConfig {
             max_restarts: 8,
             backoff_base_ms: 1,
             backoff_cap_ms: 16,
-            ack_interval: 16,
             max_repair_rounds: 8,
         }
     }
@@ -72,10 +61,8 @@ pub struct SuperviseStats {
     pub reordered: u64,
     /// Transport repair rounds that had to retransmit missing sequences.
     pub repair_rounds: u64,
-    /// Stage incarnations restarted after a panic.
+    /// Task attempts restarted after a panic.
     pub restarts: u64,
-    /// Outputs redelivered by restarted incarnations and deduped away.
-    pub redelivered: u64,
     /// Total restart backoff slept, in milliseconds.
     pub backoff_ms: u64,
 }
@@ -87,7 +74,6 @@ impl SuperviseStats {
         self.reordered += other.reordered;
         self.repair_rounds += other.repair_rounds;
         self.restarts += other.restarts;
-        self.redelivered += other.redelivered;
         self.backoff_ms += other.backoff_ms;
     }
 
@@ -187,133 +173,6 @@ where
     (received.into_values().collect(), stats)
 }
 
-/// Run `f` as a supervised flat-map over `items`: input crosses a repaired
-/// chaos transport, the stage body is restarted on panics (resuming from
-/// the ack watermark), and sequence-keyed outputs are deduped at the sink.
-///
-/// `f(i, &item)` must be deterministic in `(i, item)` — the usual rule for
-/// this codebase — which is what makes redelivery invisible in the output:
-/// the returned `Vec` equals `items.iter().enumerate().flat_map(f)` exactly,
-/// for any plan.
-pub fn supervised_flat_map<I, O, F>(
-    name: &str,
-    items: Vec<I>,
-    plan: Option<&FaultPlan>,
-    cfg: &SupervisorConfig,
-    f: F,
-) -> (Vec<O>, SuperviseStats)
-where
-    I: Clone + Send + Sync + 'static,
-    O: Clone + Send + 'static,
-    F: Fn(u64, &I) -> Vec<O> + Send + Sync + 'static,
-{
-    // Layer 1: repaired transport.
-    let (input, mut stats) = reliable_stream(name, items, plan, cfg);
-    let input: Arc<Vec<I>> = Arc::new(input);
-    let n = input.len() as u64;
-    let task = hash_label(name);
-    let plan = plan.copied();
-
-    // Layer 2: supervised incarnations feeding a dedup sink.
-    let out: Topic<((u64, u32), O)> = Topic::new(&format!("{name}:out"));
-    let sink = sink_to_vec(out.subscribe());
-    let acked = Arc::new(AtomicU64::new(0));
-    let f = Arc::new(f);
-    let mut attempt: u32 = 0;
-    loop {
-        let start = acked.load(Ordering::Acquire);
-        let crash_after = plan.and_then(|p| p.crash_point(task, attempt, n - start));
-        let worker = {
-            let input = Arc::clone(&input);
-            let out = out.clone();
-            let acked = Arc::clone(&acked);
-            let f = Arc::clone(&f);
-            let ack_interval = cfg.ack_interval.max(1);
-            let site = name.to_string();
-            // A raw thread (not StageHandle) so the supervisor sees the
-            // panic as a `Result` instead of propagating it.
-            thread::Builder::new()
-                .name(format!("{name}#{attempt}"))
-                .spawn(move || {
-                    let mut since_ack = 0u64;
-                    for i in start..n {
-                        if crash_after == Some(i - start) {
-                            obs::trace::emit(
-                                obs::EventKind::FaultInjected,
-                                &site,
-                                None,
-                                None,
-                                format!("crash attempt={attempt}"),
-                                None,
-                            );
-                            injected_crash();
-                        }
-                        for (k, o) in f(i, &input[i as usize]).into_iter().enumerate() {
-                            out.publish(((i, k as u32), o));
-                        }
-                        since_ack += 1;
-                        if since_ack >= ack_interval {
-                            acked.store(i + 1, Ordering::Release);
-                            since_ack = 0;
-                        }
-                    }
-                    if crash_after == Some(n - start) {
-                        obs::trace::emit(
-                            obs::EventKind::FaultInjected,
-                            &site,
-                            None,
-                            None,
-                            format!("crash attempt={attempt}"),
-                            None,
-                        );
-                        injected_crash();
-                    }
-                })
-                .expect("spawn supervised stage")
-        };
-        match worker.join() {
-            Ok(()) => break,
-            Err(e) => {
-                if attempt >= cfg.max_restarts {
-                    out.close();
-                    std::panic::resume_unwind(e);
-                }
-                if e.downcast_ref::<crate::fault::InjectedCrash>().is_some() {
-                    obs::counter("chaos.crashes_repaired").incr();
-                    obs::counter("chaos.faults_repaired").incr();
-                    obs::trace::emit(
-                        obs::EventKind::FaultRepaired,
-                        name,
-                        None,
-                        None,
-                        format!("crash attempt={attempt}"),
-                        None,
-                    );
-                }
-                obs::counter("chaos.restarts").incr();
-                stats.restarts += 1;
-                let backoff = (cfg.backoff_base_ms << attempt.min(16)).min(cfg.backoff_cap_ms);
-                stats.backoff_ms += backoff;
-                obs::counter("chaos.backoff_ms").add(backoff);
-                thread::sleep(Duration::from_millis(backoff));
-                attempt += 1;
-            }
-        }
-    }
-    out.close();
-
-    // Idempotent dedup: outputs redelivered after a restart collapse onto
-    // their (input seq, output index) key, restoring sequential order.
-    let mut deduped: BTreeMap<(u64, u32), O> = BTreeMap::new();
-    for (key, o) in sink.join().expect("supervised sink") {
-        if deduped.insert(key, o).is_some() {
-            stats.redelivered += 1;
-            obs::counter("chaos.redelivered").incr();
-        }
-    }
-    (deduped.into_values().collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,56 +229,5 @@ mod tests {
         assert_eq!(got, (0..50).collect::<Vec<u32>>());
         assert_eq!(stats.repair_rounds, 3);
         assert_eq!(stats.dropped, 150);
-    }
-
-    #[test]
-    fn supervised_flat_map_equals_sequential_under_chaos() {
-        let items: Vec<u64> = (0..400).collect();
-        let body = |i: u64, x: &u64| vec![i * 1000 + x, i * 1000 + x + 1];
-        let want: Vec<u64> =
-            items.iter().enumerate().flat_map(|(i, x)| body(i as u64, x)).collect();
-        let p = plan(ChaosConfig::CALIBRATED);
-        let (got, stats) =
-            supervised_flat_map("t", items, Some(&p), &SupervisorConfig::default(), body);
-        assert_eq!(got, want, "recovered output equals fault-free output");
-        assert!(stats.restarts > 0, "the calibrated profile crashes this stage: {stats:?}");
-    }
-
-    #[test]
-    fn supervised_flat_map_without_plan_is_plain_flat_map() {
-        let (got, stats) = supervised_flat_map(
-            "t",
-            vec![10u64, 20, 30],
-            None,
-            &SupervisorConfig::default(),
-            |_, x| vec![x * 2],
-        );
-        assert_eq!(got, vec![20, 40, 60]);
-        assert!(stats.is_clean());
-    }
-
-    #[test]
-    fn restart_budget_exhaustion_propagates_the_panic() {
-        // A body that always really panics must eventually escape, even
-        // under supervision.
-        let cfg = SupervisorConfig { max_restarts: 2, backoff_base_ms: 0, ..Default::default() };
-        let r = std::panic::catch_unwind(|| {
-            supervised_flat_map("t", vec![1u32], None, &cfg, |_, _: &u32| -> Vec<u32> {
-                std::panic::resume_unwind(Box::new("real bug"))
-            })
-        });
-        assert!(r.is_err(), "panic escapes after the restart budget");
-    }
-
-    #[test]
-    fn restarts_resume_from_ack_watermark() {
-        // Tight ack interval + forced crashes: output still exact.
-        let chaos = ChaosConfig { crash_prob: 1.0, max_crashes: 2, ..ChaosConfig::DISABLED };
-        let p = plan(chaos);
-        let sup = SupervisorConfig { ack_interval: 4, backoff_base_ms: 0, ..Default::default() };
-        let items: Vec<u64> = (0..100).collect();
-        let (got, stats) = supervised_flat_map("t", items.clone(), Some(&p), &sup, |_, x| vec![*x]);
-        assert_eq!(got, items);
-        assert_eq!(stats.restarts, p.planned_crashes(hash_label("t")) as u64);
     }
 }

@@ -1,12 +1,12 @@
 //! Property tests for the chaos/supervision invariant: for *arbitrary*
-//! fault plans, the supervised stream pipeline's sink output equals the
+//! fault plans, the repaired transport and the supervised pool return the
 //! fault-free sequential output (dedup + reorder + restart correctness).
 
 use proptest::prelude::*;
 use simcore::rng::RngFactory;
 use streamproc::fault::{ChaosConfig, FaultPlan};
 use streamproc::parallel_map_supervised;
-use streamproc::supervise::{reliable_stream, supervised_flat_map, SupervisorConfig};
+use streamproc::supervise::{reliable_stream, SupervisorConfig};
 
 fn arb_config() -> impl Strategy<Value = ChaosConfig> {
     (0.0f64..0.4, 0.0f64..0.4, 0.0f64..0.4, 1u32..16, 0.0f64..1.0, 0u32..4).prop_map(
@@ -36,33 +36,6 @@ proptest! {
         let items: Vec<u64> = (0..len as u64).collect();
         let (got, _) = reliable_stream("prop", items.clone(), Some(&plan), &fast_supervisor());
         prop_assert_eq!(got, items);
-    }
-
-    #[test]
-    fn supervised_sink_output_equals_sequential(
-        plan_seed in 0u64..u64::MAX,
-        cfg in arb_config(),
-        items in prop::collection::vec(0u64..1_000_000, 0..120),
-        ack_interval in 1u64..32,
-    ) {
-        let body = |i: u64, x: &u64| -> Vec<u64> {
-            // A flat-map with data-dependent arity, so dedup keys are
-            // genuinely exercised: 0, 1, or 2 outputs per input.
-            match x % 3 {
-                0 => vec![],
-                1 => vec![i.wrapping_mul(31).wrapping_add(*x)],
-                _ => vec![*x, x.wrapping_add(i)],
-            }
-        };
-        let want: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .flat_map(|(i, x)| body(i as u64, x))
-            .collect();
-        let plan = FaultPlan::new(&RngFactory::new(plan_seed), "prop", cfg);
-        let sup = SupervisorConfig { ack_interval, ..fast_supervisor() };
-        let (got, _) = supervised_flat_map("prop", items, Some(&plan), &sup, body);
-        prop_assert_eq!(got, want);
     }
 
     #[test]

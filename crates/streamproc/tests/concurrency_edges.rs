@@ -1,12 +1,10 @@
 //! Concurrency edge cases of the streaming layer: topic lifecycle misuse,
-//! multi-consumer fan-out under threads, panic propagation through stage
-//! handles, and worker-pool shutdown on an empty queue.
+//! multi-consumer fan-out under threads, and panic propagation through
+//! stage handles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::thread;
-use streamproc::{sink_to_vec, spawn_pool, spawn_stage, Topic};
+use streamproc::{spawn_stage, Topic};
 
 #[test]
 fn publish_after_close_panics_with_topic_name() {
@@ -70,61 +68,4 @@ fn stage_panic_propagates_through_join() {
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_default();
     assert!(msg.contains("stage choked"), "payload survives the handoff: {msg}");
-}
-
-#[test]
-fn pool_worker_panic_propagates_through_join() {
-    let src: Topic<u32> = Topic::new("src");
-    let out: Topic<u32> = Topic::new("out");
-    let pool = spawn_pool("fragile", 3, src.subscribe(), out, |x| {
-        if x == 7 {
-            panic!("worker down");
-        }
-        vec![x]
-    });
-    for i in 0..32 {
-        src.publish(i);
-    }
-    src.close();
-    assert!(catch_unwind(AssertUnwindSafe(move || pool.join())).is_err());
-}
-
-#[test]
-fn pool_empty_queue_shuts_down_cleanly() {
-    // Closing the input before any message arrives must release every
-    // blocked worker, close the output, and report zero emissions.
-    let src: Topic<u8> = Topic::new("src");
-    let out: Topic<u8> = Topic::new("out");
-    let pool = spawn_pool("idle", 4, src.subscribe(), out.clone(), |x| vec![x]);
-    let sink = sink_to_vec(out.subscribe());
-    src.close();
-    assert_eq!(pool.join(), 0, "no messages, no emissions");
-    assert!(sink.join().unwrap().is_empty(), "output closed and empty");
-    assert!(out.is_closed(), "last worker out closed the output topic");
-}
-
-#[test]
-fn pool_distributes_work_without_duplication_or_loss() {
-    // Each message goes to exactly one worker; a per-worker side effect
-    // totals exactly the input count.
-    let processed = Arc::new(AtomicU64::new(0));
-    let src: Topic<u64> = Topic::new("src");
-    let out: Topic<u64> = Topic::new("out");
-    let pool = {
-        let processed = Arc::clone(&processed);
-        spawn_pool("count", 4, src.subscribe(), out.clone(), move |x| {
-            processed.fetch_add(1, Ordering::Relaxed);
-            vec![x]
-        })
-    };
-    let sink = sink_to_vec(out.subscribe());
-    for i in 0..5_000 {
-        src.publish(i);
-    }
-    src.close();
-    assert_eq!(pool.join(), 5_000);
-    assert_eq!(processed.load(Ordering::Relaxed), 5_000, "exactly-once processing");
-    let mut got = sink.join().unwrap();
-    got.sort();
-    assert_eq!(got, (0..5_000).collect::<Vec<_>>());
 }

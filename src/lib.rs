@@ -14,7 +14,7 @@
 //! | [`telescope`] | darknet, backscatter, RSDoS inference, the feed |
 //! | [`openintel`] | daily active measurement platform |
 //! | [`census`] | anycast census + open-resolver lists |
-//! | [`streamproc`] | topics, tumbling windows, threaded stages |
+//! | [`streamproc`] | topics, threaded stages, worker pools, chaos + supervision |
 //! | [`core`] | **the paper's data-join pipeline and analyses** |
 //! | [`reactive`] | RSDoS-triggered NS-exhaustive probing |
 //! | [`scenarios`] | world generator + TransIP / mil.ru / RDZ case studies |
@@ -44,10 +44,11 @@ pub mod prelude {
     };
     pub use census::{AnycastCensus, AnycastClass, OpenResolverList};
     pub use dnsimpact_core::impact::{ImpactConfig, ImpactEvent};
-    pub use dnsimpact_core::join::{join_episodes, join_episodes_with_offset, ChangingDirectory};
+    pub use dnsimpact_core::join::ChangingDirectory;
     pub use dnsimpact_core::longitudinal::{
         run as run_longitudinal, LongitudinalConfig, MetaTables,
     };
+    pub use dnsimpact_core::reference::join_episodes;
     pub use dnssim::{
         Deployment, DomainId, Infra, LoadBook, NsId, NsSetId, QueryOutcome, QueryStatus, Resolver,
         Uplink,

@@ -1,7 +1,7 @@
 //! Semantic ablations of the methodology's design choices (§4.1–§4.2):
 //! what changes when the knobs move.
 
-use dnsimpact::core::impact::compute_impacts;
+use dnsimpact::core::reference::compute_impacts;
 use dnsimpact::prelude::*;
 use scenarios::{paper_longitudinal_config, world, PaperScale, WorldConfig};
 

@@ -1,13 +1,15 @@
-//! Differential lock between the row-based reference pipeline and the
-//! columnar hot path (DESIGN §11).
+//! Differential lock between the sequential reference pipeline
+//! (`dnsimpact_core::reference`) and the sharded columnar production path
+//! (DESIGN §11).
 //!
-//! The columnar join/impact rewrite is only allowed to be a *layout*
-//! change: for any feed, any NSSet table, any worker count, and any
+//! The columnar join/impact path is only allowed to differ in layout and
+//! parallelism: for any feed, any NSSet table, any worker count, and any
 //! chaos seed, `JoinTable::build(..).to_events()` must equal
-//! `join_episodes_sharded(..)` byte-for-byte (f64s included — `Debug`
-//! prints the shortest round-tripping form), `compute_impacts_columnar`
-//! must equal `compute_impacts_with_jobs`, and the two paths must emit
-//! identical deterministic metrics deltas and causal-trace event streams.
+//! `reference::join_episodes_traced(..)` byte-for-byte (f64s included —
+//! `Debug` prints the shortest round-tripping form),
+//! `compute_impacts_columnar` must equal `reference::compute_impacts`, and
+//! the two paths must emit identical deterministic metrics deltas and
+//! causal-trace event streams.
 //! Proptest generates the worlds and feeds; fixed seeds make every case
 //! reproducible.
 //!
@@ -21,8 +23,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use dnsimpact::prelude::*;
 use dnsimpact_core::columnar::JoinTable;
 use dnsimpact_core::impact::compute_impacts_columnar;
-use dnsimpact_core::impact::compute_impacts_with_jobs;
-use dnsimpact_core::join::join_episodes_sharded_traced;
+use dnsimpact_core::reference::{compute_impacts, join_episodes_traced};
 use proptest::prelude::*;
 use telescope::{AttackEpisode, EpisodeColumns};
 
@@ -172,10 +173,10 @@ proptest! {
         }
         for include_collateral in [false, true] {
             for day_offset in [0u64, 1] {
+                let reference = join_episodes_traced(
+                    &infra, &infra, &eps, &open, include_collateral, day_offset, None,
+                );
                 for jobs in [1usize, 2, 8] {
-                    let reference = join_episodes_sharded_traced(
-                        &infra, &infra, &eps, &open, include_collateral, day_offset, jobs, None,
-                    );
                     let table = JoinTable::build(
                         &infra, &infra, &cols, &open, include_collateral, day_offset, jobs, None,
                     );
@@ -258,12 +259,12 @@ proptest! {
             ..ImpactConfig::default()
         };
 
-        let events = join_episodes_sharded_traced(&infra, &infra, &eps, &open, true, 1, 1, None);
+        let events = join_episodes_traced(&infra, &infra, &eps, &open, true, 1, None);
         let table = JoinTable::build(&infra, &infra, &cols, &open, true, 1, 1, None);
 
-        let (ref_impacts, ref_store) = compute_impacts_with_jobs(
+        let (ref_impacts, ref_store) = compute_impacts(
             &infra, &schedule, &Resolver::default(), &loads, &eps, &events,
-            &census, &rngs, &config, 1,
+            &census, &rngs, &config,
         );
         for jobs in [1usize, 8] {
             let (impacts, store) = compute_impacts_columnar(
@@ -334,9 +335,8 @@ fn traced_pass(
         );
         (format!("{:?}", table.to_events()), format!("{impacts:?}"))
     } else {
-        let events =
-            join_episodes_sharded_traced(infra, infra, eps, &open, true, 1, 1, Some(SCOPE));
-        let (impacts, _) = compute_impacts_with_jobs(
+        let events = join_episodes_traced(infra, infra, eps, &open, true, 1, Some(SCOPE));
+        let (impacts, _) = compute_impacts(
             infra,
             schedule,
             &Resolver::default(),
@@ -346,7 +346,6 @@ fn traced_pass(
             census,
             rngs,
             config,
-            1,
         );
         (format!("{events:?}"), format!("{impacts:?}"))
     };

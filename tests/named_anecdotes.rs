@@ -7,7 +7,7 @@
 //! - **Euskaltel**: a Spanish ISP responsible for 1,405 domains that
 //!   failed to answer **83%** of queries during its attack.
 
-use dnsimpact::core::impact::{compute_impacts, ImpactConfig};
+use dnsimpact::core::reference::compute_impacts;
 use dnsimpact::prelude::*;
 
 fn build(

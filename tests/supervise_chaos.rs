@@ -1,17 +1,18 @@
-//! Property lock on `streamproc::supervise` under combined fault classes
-//! (DESIGN §9, §12): for any item vector, any chaos seed, and any fault
-//! intensity mixing drops, duplicate/reordered delivery, late (held)
-//! delivery, and mid-stream crashes with supervisor restarts, the
-//! delivered output must equal the fault-free output exactly — order,
-//! multiplicity, and values. The daemon's replay-determinism contract
-//! rests on this: `dnsimpactd` feeds every batch through this transport,
-//! so the index must be a pure function of the batch prefix no matter
-//! what the chaos layer does in between.
+//! Property lock on `streamproc`'s recovery machinery under combined fault
+//! classes (DESIGN §8, §12): for any item vector, any chaos seed, and any
+//! fault intensity mixing drops, duplicate/reordered delivery and late
+//! (held) delivery, `reliable_stream` must deliver the fault-free output
+//! exactly — order, multiplicity, and values; and under injected task
+//! crashes with supervisor restarts, `parallel_map_supervised` must return
+//! the fault-free results. The daemon's replay-determinism contract rests
+//! on the first: `dnsimpactd` feeds every batch through this transport, so
+//! the index must be a pure function of the batch prefix no matter what
+//! the chaos layer does in between. Impact measurement and `repro`'s
+//! checkpointed catalog rest on the second.
 //!
-//! A deterministic companion test pins down that the property is not
+//! A deterministic companion test pins down that the properties are not
 //! vacuous: over a handful of fixed seeds, every fault class actually
-//! fires (including restarts mid-stream, i.e. the supervisor resumed an
-//! incarnation from its ack watermark at least once).
+//! fires (including supervisor restarts).
 //!
 //! The metrics registry and trace ring are process-global, so tests in
 //! this binary serialize on [`lock`].
@@ -20,7 +21,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 use streamproc::{
-    reliable_stream, supervised_flat_map, ChaosConfig, FaultPlan, SuperviseStats, SupervisorConfig,
+    parallel_map_supervised, reliable_stream, ChaosConfig, FaultPlan, SuperviseStats,
+    SupervisorConfig,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -30,9 +32,9 @@ fn lock() -> MutexGuard<'static, ()> {
 
 /// The intensity grid the properties sweep. `HEAVY` turns every knob up
 /// at once — drops, duplicates, long holds, and a near-certain crash per
-/// incarnation — so combined-fault interactions (a held record crossing
-/// a restart, a drop repaired after a late delivery) are exercised, not
-/// just each class alone.
+/// attempt — so combined-fault interactions (a drop repaired after a late
+/// delivery, a task crashed on several attempts in a row) are exercised,
+/// not just each class alone.
 const HEAVY: ChaosConfig = ChaosConfig {
     drop_prob: 0.2,
     dup_prob: 0.2,
@@ -56,9 +58,9 @@ fn quick_supervisor() -> SupervisorConfig {
     SupervisorConfig { backoff_base_ms: 0, backoff_cap_ms: 1, ..SupervisorConfig::default() }
 }
 
-/// The deterministic stage body used by the flat-map properties: output
-/// size varies with the item (0, 1, or 2 records) so dedup and resume
-/// are tested on a non-trivial seq→output mapping.
+/// The deterministic task body used by the supervised-pool properties:
+/// output size varies with the item (0, 1, or 2 records) so a retried task
+/// is tested on a non-trivial index→output mapping.
 fn stage_body(i: u64, item: &u64) -> Vec<(u64, u64)> {
     match item % 3 {
         0 => vec![],
@@ -85,35 +87,33 @@ proptest! {
         prop_assert!(stats.repair_rounds > 0 || stats.dropped == 0);
     }
 
-    /// Stage level: `supervised_flat_map` under combined drop + reorder +
-    /// late delivery + mid-stream crash/restart equals the fault-free
-    /// flat-map byte-for-byte.
+    /// Task level: `parallel_map_supervised` under injected crashes and
+    /// supervisor restarts returns the fault-free results byte-for-byte,
+    /// for any worker count, and restarts exactly the planned crashes.
     #[test]
-    fn supervised_flat_map_matches_fault_free(
+    fn parallel_map_supervised_matches_fault_free(
         items in prop::collection::vec(any::<u64>(), 0..120),
         seed in any::<u64>(),
         choice in any::<u8>(),
+        jobs in 1usize..9,
     ) {
         let _g = lock();
-        let expected: Vec<(u64, u64)> = items
+        let expected: Vec<Vec<(u64, u64)>> = items
             .iter()
             .enumerate()
-            .flat_map(|(i, item)| stage_body(i as u64, item))
+            .map(|(i, item)| stage_body(i as u64, item))
             .collect();
         let plan = FaultPlan::from_seed(seed, "prop-stage", intensity(choice));
-        let (out, stats) = supervised_flat_map(
-            "prop-stage",
+        let planned: u64 = (0..items.len() as u64).map(|i| plan.planned_crashes(i) as u64).sum();
+        let (out, stats) = parallel_map_supervised(
+            jobs,
             items,
             Some(&plan),
             &quick_supervisor(),
-            stage_body,
+            |i, item| stage_body(i as u64, item),
         );
         prop_assert_eq!(&out, &expected);
-        prop_assert!(stats.restarts <= quick_supervisor().max_restarts as u64);
-        // A restart without redelivery is possible (crash at the ack
-        // watermark) but redelivery without dedup would have broken the
-        // equality above — the stats only need to be self-consistent.
-        prop_assert!(stats.redelivered == 0 || stats.restarts > 0 || stats.duplicated > 0);
+        prop_assert_eq!(stats.restarts, planned);
     }
 
     /// Sub-stream plans (what the daemon's ingest loop uses per segment)
@@ -140,27 +140,32 @@ proptest! {
 
 /// The properties above would pass vacuously if the chaos layer never
 /// fired. Pin that it does: across a few fixed seeds at CALIBRATED
-/// intensity, every fault class is observed, including at least one
-/// supervisor restart mid-stream.
+/// intensity, the transport drops, duplicates, reorders and repairs, and
+/// the supervised pool restarts crashed tasks.
 #[test]
 fn calibrated_chaos_injects_every_fault_class() {
     let _g = lock();
     let items: Vec<u64> = (0..300).collect();
-    let expected: Vec<(u64, u64)> =
-        items.iter().enumerate().flat_map(|(i, item)| stage_body(i as u64, item)).collect();
+    let expected: Vec<Vec<(u64, u64)>> =
+        items.iter().enumerate().map(|(i, item)| stage_body(i as u64, item)).collect();
     let cfg = quick_supervisor();
     let mut totals = SuperviseStats::default();
     for seed in 0..6 {
         let plan = FaultPlan::from_seed(seed, "chaos-coverage", ChaosConfig::CALIBRATED);
-        let (out, stats) =
-            supervised_flat_map("chaos-coverage", items.clone(), Some(&plan), &cfg, stage_body);
+        let (delivered, stats) =
+            reliable_stream("chaos-coverage", items.clone(), Some(&plan), &cfg);
+        assert_eq!(delivered, items, "seed {seed}: transport diverged from its input");
+        totals.merge(&stats);
+        let (out, stats) = parallel_map_supervised(2, items.clone(), Some(&plan), &cfg, |i, x| {
+            stage_body(i as u64, x)
+        });
         assert_eq!(out, expected, "seed {seed} diverged from fault-free output");
         totals.merge(&stats);
     }
     assert!(totals.dropped > 0, "no drops injected: {totals:?}");
     assert!(totals.duplicated > 0, "no duplicates injected: {totals:?}");
     assert!(totals.reordered > 0, "no reordering injected: {totals:?}");
-    assert!(totals.restarts > 0, "no mid-stream restarts: {totals:?}");
+    assert!(totals.restarts > 0, "no supervisor restarts: {totals:?}");
     assert!(totals.repair_rounds > 0, "drops were never repaired: {totals:?}");
 }
 

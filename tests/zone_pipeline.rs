@@ -2,7 +2,7 @@
 //! 1035 zone file (instead of the synthetic generator) and run the full
 //! paper pipeline against it.
 
-use dnsimpact::core::impact::{compute_impacts, ImpactConfig};
+use dnsimpact::core::reference::compute_impacts;
 use dnsimpact::prelude::*;
 use dnssim::ZoneLoader;
 use dnswire::zonefile::parse_zone;
