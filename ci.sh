@@ -44,8 +44,9 @@
 #                /seriesz + /sloz fields; the emitted dnsimpactd-live/v1
 #                report must schema-validate
 #   results      hygiene: every committed results/*.json must
-#                schema-validate, and every file under results/ must be
-#                covered by results/INDEX.md
+#                schema-validate, `repro bench --trajectory` must read
+#                them all without skipping one, and every file under
+#                results/ must be covered by results/INDEX.md
 #
 # Usage:
 #   ./ci.sh                 run every gate in order
@@ -86,7 +87,8 @@ suite        bench --suite all: process-suite verdicts all PASS + suite schema
 daemon       dnsimpactd kill -9 crash recovery fingerprint-identical to clean replay
 live         /metricsz parses mid-ingest, SLO verdicts surface, repro watch renders,
              deterministic /seriesz + /sloz byte-identical across chaos seed and jobs
-results      every committed results/*.json validates; INDEX.md covers results/
+results      every committed results/*.json validates and the trajectory reads
+             them all; INDEX.md covers results/
 EOF
 }
 
@@ -581,6 +583,17 @@ gate_results() {
         [ -e "$J" ] || continue
         "$REPRO" validate-metrics "$J"
     done
+    # The trajectory reads the same reports through the same typed reader
+    # (legacy v1 BENCH files included); it must succeed and skip nothing.
+    "$REPRO" bench --trajectory --out results > "$SMOKE/trajectory.out" 2> "$SMOKE/trajectory.err" || {
+        cat "$SMOKE/trajectory.err" >&2
+        exit 1
+    }
+    if grep -q skipping "$SMOKE/trajectory.err"; then
+        echo "results hygiene: bench --trajectory skipped a committed report:" >&2
+        cat "$SMOKE/trajectory.err" >&2
+        exit 1
+    fi
     # And every file under results/ must be covered by the index: named
     # outright, or matched by a documented series pattern.
     for F in results/*; do

@@ -98,18 +98,18 @@
 //! unreachable daemon is a rendered state, not an exit; `--frames N`
 //! bounds the run for CI.
 //!
-//! `repro validate-metrics FILE` schema-validates a previously written
-//! report, dispatching on the document's `schema` field: a
-//! `dnsimpact-metrics/v2` run report additionally gets the cross-counter
-//! invariant checks (fault accounting balances; reactive latency and
-//! probe budgets hold), a `dnsimpact-sweep/v1` sweep report gets the
-//! cell-grid checks (sorted, duplicate-free cells; finite floats), a
-//! `dnsimpactd-report/v1` daemon report gets the shed-accounting check,
-//! and a `dnsimpactd-live/v1` telemetry report gets the delta
-//! conservation check across its tick ring.
-//! An unknown or missing schema id is rejected outright, naming the id
-//! and the known schemas. Exit 1 on any violation — this is the CI
-//! metrics gate.
+//! `repro validate-metrics FILE` reads a previously written report back
+//! through `obs::read_report`, which dispatches on the document's `schema`
+//! field to that schema's one reader: a `dnsimpact-metrics/v2` (or legacy
+//! v1) run report also gets the cross-counter invariant checks (fault
+//! accounting balances; reactive latency and probe budgets hold), a
+//! `dnsimpact-sweep/v1` sweep report the cell-grid checks (sorted,
+//! duplicate-free cells; finite floats), a `dnsimpactd-report/v1` daemon
+//! report the shed-accounting check, and a `dnsimpactd-live/v1` telemetry
+//! report the delta conservation check across its tick ring. The report
+//! writers and `bench --trajectory` use the same reader. An unknown or
+//! missing schema id is rejected outright, naming the id and the known
+//! schemas. Exit 1 on any violation — this is the CI metrics gate.
 //!
 //! `repro validate-trace FILE` loads a `--trace-json` file back and checks
 //! the causality invariants (triggers follow feed arrivals within bound,
@@ -427,18 +427,13 @@ fn slot_path(dir: &Path, prefix: &str, date: &str, run: u64) -> PathBuf {
     }
 }
 
-/// The `validate-metrics` subcommand: schema-validate a previously
-/// written report, dispatching on its `schema` field — run reports
-/// (`dnsimpact-metrics/v2`) also get the counter-invariant checks, sweep
-/// reports (`dnsimpact-sweep/v1`) the cell-grid checks, suite reports
-/// (`dnsimpact-suite/v1`) the process-accounting and merged-histogram
-/// checks, daemon reports (`dnsimpactd-report/v1`) the shed-accounting
-/// check, and legacy pre-trace run reports (`dnsimpact-metrics/v1`) the
-/// v1 rules so committed history stays checkable. A document whose
-/// schema is missing or matches none of those is rejected (exit 2) with
-/// the unknown id and the known schema list — a typo'd or future schema
-/// must never silently fall through to the wrong validator. Returns the
-/// process exit code.
+/// The `validate-metrics` subcommand: read a previously written report
+/// back through [`obs::read_report`], which dispatches on its `schema`
+/// field (run reports, v2 and legacy v1, also get the counter-invariant
+/// checks). A document whose schema is missing or matches no known one is
+/// rejected (exit 2) with the unknown id and the known schema list — a
+/// typo'd or future schema must never silently fall through to the wrong
+/// reader. Returns the process exit code.
 fn validate_metrics(path: &Path) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -454,173 +449,53 @@ fn validate_metrics(path: &Path) -> i32 {
             return 2;
         }
     };
-    let report_violations = |kind: &str, errors: &[String]| {
-        for e in errors {
-            obs::progress("repro", &format!("{kind} violation: {e}"));
+    let file = path.display().to_string();
+    match (obs::read_report(&doc), obs::schema_label(&doc)) {
+        (Ok(report), _) => {
+            obs::progress("repro", &report.describe(&file));
+            0
         }
-        obs::progress("repro", &format!("{}: {} violation(s)", path.display(), errors.len()));
-    };
-    match doc.get("schema").and_then(|s| s.as_str()) {
-        Some(obs::SWEEP_SCHEMA_ID) => match obs::sweep::validate(&doc) {
-            Ok(()) => {
-                let cells =
-                    doc.get("cells").and_then(|c| c.as_array().map(|a| a.len())).unwrap_or(0);
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({cells} cell(s), sorted, finite)",
-                        path.display(),
-                        obs::SWEEP_SCHEMA_ID,
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("sweep", &errors);
-                1
-            }
-        },
-        Some(obs::SUITE_SCHEMA_ID) => match obs::suite::validate(&doc) {
-            Ok(()) => {
-                let n = |key: &str| {
-                    doc.get(key).and_then(|c| c.as_array().map(|a| a.len())).unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} suite A cell(s), {} suite B scale(s), \
-                         {} verdict(s))",
-                        path.display(),
-                        obs::SUITE_SCHEMA_ID,
-                        n("suite_a"),
-                        n("suite_b"),
-                        n("verdicts"),
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("suite", &errors);
-                1
-            }
-        },
-        Some(obs::DAEMON_SCHEMA_ID) => match obs::daemon::validate(&doc) {
-            Ok(()) => {
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report (shed accounting balances, floats finite)",
-                        path.display(),
-                        obs::DAEMON_SCHEMA_ID,
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("daemon", &errors);
-                1
-            }
-        },
-        Some(obs::LIVE_SCHEMA_ID) => match obs::live::validate(&doc) {
-            Ok(()) => {
-                let n = |key: &str| {
-                    doc.get("deterministic")
-                        .and_then(|d| d.get(key))
-                        .and_then(|c| c.as_array().map(|a| a.len()))
-                        .unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} deterministic series, {} SLO \
-                         transition(s); delta conservation holds)",
-                        path.display(),
-                        obs::LIVE_SCHEMA_ID,
-                        n("series"),
-                        n("slo_transitions"),
-                    ),
-                );
-                0
-            }
-            Err(errors) => {
-                report_violations("live", &errors);
-                1
-            }
-        },
-        Some(obs::SCHEMA_ID) => {
-            let mut errors = Vec::new();
-            if let Err(e) = obs::report::validate(&doc) {
-                errors.extend(e);
-            }
-            if let Err(e) = obs::report::check_invariants(&doc) {
-                errors.extend(e);
-            }
-            if errors.is_empty() {
-                let count = |key: &str| {
-                    doc.get(key).and_then(|m| m.as_object().map(|o| o.len())).unwrap_or(0)
-                };
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid {} report ({} counters, {} gauges, {} histograms); \
-                         invariants hold",
-                        path.display(),
-                        obs::SCHEMA_ID,
-                        count("counters"),
-                        count("gauges"),
-                        count("histograms"),
-                    ),
-                );
-                0
-            } else {
-                report_violations("metrics", &errors);
-                1
-            }
+        (Err(errors), Some(label)) => {
+            report_violations(label, &errors);
+            obs::progress("repro", &format!("{file}: {} violation(s)", errors.len()));
+            1
         }
-        Some(obs::report::LEGACY_SCHEMA_ID) => {
-            // Committed baselines that predate the v2 bump: validate under
-            // the rules of their day (no meta.run / p95 / trace), with the
-            // same counter invariants — the trajectory command still reads
-            // them, so the hygiene gate must too.
-            let mut errors = Vec::new();
-            if let Err(e) = obs::report::validate_legacy_v1(&doc) {
-                errors.extend(e);
-            }
-            if let Err(e) = obs::report::check_invariants(&doc) {
-                errors.extend(e);
-            }
-            if errors.is_empty() {
-                obs::progress(
-                    "repro",
-                    &format!(
-                        "{} is a valid legacy {} report; invariants hold",
-                        path.display(),
-                        obs::report::LEGACY_SCHEMA_ID,
-                    ),
-                );
-                0
-            } else {
-                report_violations("legacy metrics", &errors);
-                1
-            }
-        }
-        other => {
-            obs::progress(
-                "repro",
-                &format!(
-                    "{}: unknown schema {}; known schemas: {}, {}, {}, {}, {}",
-                    path.display(),
-                    other.map_or("<missing>".to_string(), |s| format!("{s:?}")),
-                    obs::SCHEMA_ID,
-                    obs::SWEEP_SCHEMA_ID,
-                    obs::SUITE_SCHEMA_ID,
-                    obs::DAEMON_SCHEMA_ID,
-                    obs::LIVE_SCHEMA_ID,
-                ),
-            );
+        (Err(errors), None) => {
+            obs::progress("repro", &format!("{file}: {}", errors.join("; ")));
             2
         }
     }
+}
+
+fn report_violations(label: &str, errors: &[String]) {
+    for e in errors {
+        obs::progress("repro", &format!("{label} violation: {e}"));
+    }
+}
+
+/// Validate-then-write for every report `repro` emits: the document is
+/// read back through [`obs::read_report`] — the reader `validate-metrics`
+/// and `--trajectory` use — and written atomically to `path` only when it
+/// passes, so a broken report never reaches disk silently. Returns
+/// whether it was written.
+fn write_report(doc: &obs::Json, path: &Path) -> bool {
+    let label = obs::schema_label(doc).unwrap_or("report");
+    if let Err(errors) = obs::read_report(doc) {
+        report_violations(label, &errors);
+        obs::progress(
+            "repro",
+            &format!("refusing to write invalid {label} report to {}", path.display()),
+        );
+        return false;
+    }
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent).unwrap_or_else(|e| {
+            die(&format!("cannot create report dir {}: {e}", parent.display()))
+        });
+    }
+    write_atomic(path, &doc.pretty())
+        .unwrap_or_else(|e| die(&format!("cannot write {label} report {}: {e}", path.display())));
+    true
 }
 
 /// The `validate-trace` subcommand: load a `--trace-json` file back from
@@ -819,21 +694,10 @@ fn daemon_bench(args: &[String]) -> i32 {
         p99_us: rtt.p99 as f64,
         staleness_s: snap.staleness_s(),
     };
-    let doc = report.to_json();
-    if let Err(errors) = obs::daemon::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("daemon violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid daemon report");
+    let (_, path) = next_slot(&out, "DAEMON", &obs::report::today_utc());
+    if !write_report(&report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| die(&format!("cannot create out dir {}: {e}", out.display())));
-    let (_, path) = next_slot(&out, "DAEMON", &obs::report::today_utc());
-    let mut text = doc.pretty();
-    text.push('\n');
-    write_atomic(&path, &text)
-        .unwrap_or_else(|e| die(&format!("cannot write daemon report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
     obs::progress("repro", &format!("daemon report written to {}", path.display()));
     0
@@ -902,39 +766,12 @@ fn build_report(
     }
 }
 
-/// Validate-then-write the run report: the emitting side runs the same
-/// schema and invariant checks the CI gate does, so a broken report never
-/// reaches disk silently.
+/// Write the run report through [`write_report`]; an invalid one ends
+/// the process with exit 1.
 fn emit_report(report: &obs::RunReport, path: &Path) {
-    let doc = report.to_json();
-    let mut errors = Vec::new();
-    if let Err(e) = obs::report::validate(&doc) {
-        errors.extend(e);
-    }
-    if let Err(e) = obs::report::check_invariants(&doc) {
-        errors.extend(e);
-    }
-    if !errors.is_empty() {
-        for e in &errors {
-            obs::progress("repro", &format!("metrics violation: {e}"));
-        }
-        obs::progress(
-            "repro",
-            &format!("refusing to write invalid metrics report to {}", path.display()),
-        );
+    if !write_report(&report.to_json(), path) {
         std::process::exit(1);
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                die(&format!("cannot create metrics dir {}: {e}", parent.display()))
-            });
-        }
-    }
-    let mut text = doc.pretty();
-    text.push('\n');
-    write_atomic(path, &text)
-        .unwrap_or_else(|e| die(&format!("cannot write metrics report {}: {e}", path.display())));
     obs::progress("repro", &format!("metrics report written to {}", path.display()));
 }
 
@@ -1154,14 +991,11 @@ fn heavy_level() -> u64 {
     }
 }
 
-/// `bench --scale-sweep`: run the scale×jobs grid, check the cross-jobs
-/// fingerprints and the largest-scale speedup, and emit the validated
-/// `dnsimpact-sweep/v1` report. Returns the process exit code.
-/// One report in a committed `BENCH_`/`SWEEP_` series: the slot filename
-/// plus the parsed document.
+/// One report in a committed `BENCH_`/`SWEEP_`/`SUITE_` series: the
+/// slot filename plus the report as [`obs::read_report`] read it.
 struct SeriesReport {
     name: String,
-    doc: obs::Json,
+    report: obs::Report,
 }
 
 /// Parse `PREFIX_<date>[_run<N>].json` back into its `(date, run)` slot
@@ -1178,7 +1012,7 @@ fn parse_slot_name(name: &str, prefix: &str) -> Option<(String, u64)> {
 /// Every `<prefix>_<date>[_run<N>].json` under `dir`, parsed and ordered
 /// by `(date, same-day run)`. Unreadable or non-JSON files are reported
 /// and skipped, not fatal — one corrupt historical report must not hide
-/// the rest of the series.
+/// the rest of the series. So are reports [`obs::read_report`] rejects.
 fn collect_report_series(dir: &Path, prefix: &str) -> Vec<SeriesReport> {
     let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
     let mut found: Vec<((String, u64), SeriesReport)> = Vec::new();
@@ -1186,17 +1020,18 @@ fn collect_report_series(dir: &Path, prefix: &str) -> Vec<SeriesReport> {
         let name = entry.file_name().to_string_lossy().into_owned();
         let Some(key) = parse_slot_name(&name, prefix) else { continue };
         let path = entry.path();
-        let doc = match std::fs::read_to_string(&path)
+        let report = match std::fs::read_to_string(&path)
             .map_err(|e| e.to_string())
             .and_then(|t| obs::Json::parse(&t).map_err(|e| e.to_string()))
+            .and_then(|doc| obs::read_report(&doc).map_err(|e| e.join("; ")))
         {
-            Ok(d) => d,
+            Ok(r) => r,
             Err(e) => {
                 obs::progress("repro", &format!("trajectory: skipping {}: {e}", path.display()));
                 continue;
             }
         };
-        found.push((key, SeriesReport { name, doc }));
+        found.push((key, SeriesReport { name, report }));
     }
     found.sort_by(|a, b| a.0.cmp(&b.0));
     found.into_iter().map(|(_, r)| r).collect()
@@ -1244,33 +1079,19 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
             "report", "scale", "jobs", "wall_ms", "dwall", "peak_rss_kb", "drss"
         );
         let mut prev: Option<(f64, f64)> = None;
-        for r in &benches {
-            let meta = |k: &str| {
-                r.doc
-                    .get("meta")
-                    .and_then(|m| m.get(k))
-                    .and_then(|v| v.as_u64())
-                    .map_or_else(|| "-".to_string(), |v| v.to_string())
-            };
-            let wall = r.doc.get("total_wall_ms").and_then(|v| v.as_f64());
-            let rss = r.doc.get("peak_rss_kb").and_then(|v| v.as_f64());
-            let (Some(wall), Some(rss)) = (wall, rss) else {
-                println!("  {:<28} (missing total_wall_ms/peak_rss_kb; skipped)", r.name);
+        for s in &benches {
+            let (obs::Report::Run(r) | obs::Report::LegacyRun(r)) = &s.report else {
+                println!("  {:<28} (not a run report; skipped)", s.name);
                 continue;
             };
+            let (wall, rss) = (r.total_wall_ms as f64, r.peak_rss_kb as f64);
             let (dwall, drss) = match prev {
                 Some((pw, pr)) => (pct_change(wall, pw), pct_change(rss, pr)),
                 None => ("-".to_string(), "-".to_string()),
             };
             println!(
                 "  {:<28} {:>7} {:>5} {:>10.1} {:>8} {:>12.0} {:>8}",
-                r.name,
-                meta("scale"),
-                meta("jobs"),
-                wall,
-                dwall,
-                rss,
-                drss,
+                s.name, r.meta.scale, r.meta.jobs, wall, dwall, rss, drss,
             );
             prev = Some((wall, rss));
         }
@@ -1291,29 +1112,19 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         // Throughput deltas compare each cell against the same
         // (scale, jobs) cell of the previous report that had one.
         let mut prev: std::collections::HashMap<(u64, u64), f64> = std::collections::HashMap::new();
-        for r in &sweeps {
-            let Some(cells) = r.doc.get("cells").and_then(|c| c.as_array()) else {
-                println!("  {:<28} (no cells array; skipped)", r.name);
+        for s in &sweeps {
+            let obs::Report::Sweep(r) = &s.report else {
+                println!("  {:<28} (not a sweep report; skipped)", s.name);
                 continue;
             };
-            for cell in cells {
-                let scale = cell.get("scale").and_then(|v| v.as_u64());
-                let jobs = cell.get("jobs").and_then(|v| v.as_u64());
-                let wall = cell.get("wall_ms").and_then(|v| v.as_f64());
-                let rss = cell.get("peak_rss_kb").and_then(|v| v.as_f64());
-                let rps = cell.get("records_per_sec").and_then(|v| v.as_f64());
-                let (Some(scale), Some(jobs), Some(wall), Some(rss), Some(rps)) =
-                    (scale, jobs, wall, rss, rps)
-                else {
-                    continue;
-                };
-                let dthru =
-                    prev.get(&(scale, jobs)).map_or("-".to_string(), |p| pct_change(rps, *p));
+            for c in &r.cells {
+                let (key, rps) = ((c.scale, c.jobs), c.records_per_sec);
+                let dthru = prev.get(&key).map_or("-".to_string(), |p| pct_change(rps, *p));
                 println!(
                     "  {:<28} {:>9} {:>5} {:>10.1} {:>12.0} {:>13.0} {:>8}",
-                    r.name, scale, jobs, wall, rss, rps, dthru
+                    s.name, c.scale, c.jobs, c.wall_ms as f64, c.peak_rss_kb as f64, rps, dthru
                 );
-                prev.insert((scale, jobs), rps);
+                prev.insert(key, rps);
             }
         }
     }
@@ -1333,32 +1144,28 @@ fn run_trajectory_cmd(opts: &Options) -> i32 {
         // Throughput deltas compare each cell against the same-labelled
         // cell of the previous suite report that had one.
         let mut prev: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        for r in &suites {
-            let Some(cells) = r.doc.get("suite_a").and_then(|c| c.as_array()) else {
-                println!("  {:<28} (no suite_a array; skipped)", r.name);
+        for s in &suites {
+            let obs::Report::Suite(r) = &s.report else {
+                println!("  {:<28} (not a suite report; skipped)", s.name);
                 continue;
             };
-            for cell in cells {
-                let label = cell.get("cell").and_then(|v| v.as_str());
-                let wall = cell.get("wall_ms").and_then(|v| v.as_f64());
-                let rss = cell.get("peak_rss_kb").and_then(|v| v.as_f64());
-                let rps = cell.get("records_per_sec").and_then(|v| v.as_f64());
-                let (Some(label), Some(wall), Some(rss), Some(rps)) = (label, wall, rss, rps)
-                else {
-                    continue;
-                };
-                let dthru = prev.get(label).map_or("-".to_string(), |p| pct_change(rps, *p));
+            for c in &r.suite_a {
+                let rps = c.records_per_sec;
+                let dthru = prev.get(&c.cell).map_or("-".to_string(), |p| pct_change(rps, *p));
                 println!(
                     "  {:<28} {:<24} {:>10.1} {:>12.0} {:>13.0} {:>8}",
-                    r.name, label, wall, rss, rps, dthru
+                    s.name, c.cell, c.wall_ms as f64, c.peak_rss_kb as f64, rps, dthru
                 );
-                prev.insert(label.to_string(), rps);
+                prev.insert(c.cell.clone(), rps);
             }
         }
     }
     0
 }
 
+/// `bench --scale-sweep`: run the scale×jobs grid, check the cross-jobs
+/// fingerprints and the largest-scale speedup, and emit the validated
+/// `dnsimpact-sweep/v1` report. Returns the process exit code.
 fn run_scale_sweep_cmd(opts: &Options) -> i32 {
     if !opts.bench {
         obs::progress("repro", "--scale-sweep is a bench mode: run `repro bench --scale-sweep`");
@@ -1418,20 +1225,10 @@ fn run_scale_sweep_cmd(opts: &Options) -> i32 {
             return 1;
         }
     }
-    let doc = report.to_json();
-    if let Err(errors) = obs::sweep::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("sweep violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid sweep report");
+    let (_, path) = next_slot(&opts.out, "SWEEP", &obs::report::today_utc());
+    if !write_report(&report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&opts.out).unwrap_or_else(|e| {
-        die(&format!("cannot create sweep out dir {}: {e}", opts.out.display()))
-    });
-    let (_, path) = next_slot(&opts.out, "SWEEP", &obs::report::today_utc());
-    write_atomic(&path, &doc.pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write sweep report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
     obs::progress("repro", &format!("sweep report written to {}", path.display()));
     0
@@ -1467,20 +1264,10 @@ fn run_suite_cmd(opts: &Options) -> i32 {
             return 1;
         }
     };
-    let doc = report.to_json();
-    if let Err(errors) = obs::suite::validate(&doc) {
-        for e in &errors {
-            obs::progress("repro", &format!("suite violation: {e}"));
-        }
-        obs::progress("repro", "refusing to write invalid suite report");
+    let (_, path) = next_slot(&opts.out, "SUITE", &obs::report::today_utc());
+    if !write_report(&report.to_json(), &path) {
         return 1;
     }
-    std::fs::create_dir_all(&opts.out).unwrap_or_else(|e| {
-        die(&format!("cannot create suite out dir {}: {e}", opts.out.display()))
-    });
-    let (_, path) = next_slot(&opts.out, "SUITE", &obs::report::today_utc());
-    write_atomic(&path, &doc.pretty())
-        .unwrap_or_else(|e| die(&format!("cannot write suite report {}: {e}", path.display())));
     eprint!("{}", report.summary_table());
     obs::progress("repro", &format!("suite report written to {}", path.display()));
     if report.all_pass() {
@@ -1624,29 +1411,42 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("repro-trajectory-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, wall: u32| {
-            std::fs::write(
-                dir.join(name),
-                format!("{{\"total_wall_ms\": {wall}, \"peak_rss_kb\": 1}}"),
-            )
-            .unwrap();
+        let write = |name: &str, wall: u64| {
+            let report = obs::RunReport {
+                meta: obs::RunMeta { date: "2026-08-08".into(), ..Default::default() },
+                total_wall_ms: wall,
+                peak_rss_kb: 1,
+                stages: Vec::new(),
+                metrics: obs::Snapshot {
+                    counters: Default::default(),
+                    gauges: Default::default(),
+                    histograms: Default::default(),
+                },
+                trace: Default::default(),
+            };
+            std::fs::write(dir.join(name), report.to_json().pretty()).unwrap();
         };
         write("BENCH_2026-08-08.json", 3);
         write("BENCH_2026-08-05_run2.json", 2);
         write("BENCH_2026-08-05.json", 1);
         std::fs::write(dir.join("BENCH_2026-08-06.json"), "not json").unwrap();
+        std::fs::write(dir.join("BENCH_2026-08-07.json"), "{}").unwrap();
         std::fs::write(dir.join("SWEEP_2026-08-05.json"), "{}").unwrap();
         let series = collect_report_series(&dir, "BENCH");
         let names: Vec<&str> = series.iter().map(|r| r.name.as_str()).collect();
-        // The corrupt 2026-08-06 report is skipped; the rest sort by
-        // (date, run), with same-day runs after the suffix-less run 1.
+        // The corrupt 2026-08-06 report and the schema-less 2026-08-07
+        // one are skipped; the rest sort by (date, run), with same-day
+        // runs after the suffix-less run 1.
         assert_eq!(
             names,
             ["BENCH_2026-08-05.json", "BENCH_2026-08-05_run2.json", "BENCH_2026-08-08.json"]
         );
         let walls: Vec<u64> = series
             .iter()
-            .map(|r| r.doc.get("total_wall_ms").and_then(|v| v.as_u64()).unwrap())
+            .map(|s| match &s.report {
+                obs::Report::Run(r) => r.total_wall_ms,
+                other => panic!("{}: not a run report: {other:?}", s.name),
+            })
             .collect();
         assert_eq!(walls, [1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();

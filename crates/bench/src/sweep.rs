@@ -215,6 +215,6 @@ mod tests {
         assert!(report.cells[1].records > 0);
         // Same scale, same catalog: both cells processed identical work.
         assert_eq!(report.cells[0].records, report.cells[1].records);
-        obs::sweep::validate(&report.to_json()).unwrap();
+        obs::SweepReport::from_json(&report.to_json()).unwrap();
     }
 }

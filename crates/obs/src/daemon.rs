@@ -21,19 +21,22 @@
 //! }
 //! ```
 //!
-//! [`validate`] enforces the shed-accounting identity the overload
-//! contract promises — `queries_sent == ok + not_found + shed + errors`,
-//! every offered query accounted for exactly once — plus finite floats,
-//! a `0x`-prefixed fingerprint, and a well-formed date.
+//! [`DaemonReport::from_json`] enforces the shed-accounting identity the
+//! overload contract promises — `queries_sent == ok + not_found + shed +
+//! errors`, every offered query accounted for exactly once — plus finite
+//! floats, a `0x`-prefixed hex fingerprint, and a well-formed date.
 
-use crate::check::{check_schema, require, require_date, require_finite_f64, require_u64};
+use crate::check::{
+    check_schema, checked_sum, ok_if_clean, require, require_date, require_finite_f64,
+    require_hex_fp, require_u64,
+};
 use crate::json::Json;
 
 /// Schema identifier carried in every daemon report.
 pub const DAEMON_SCHEMA_ID: &str = "dnsimpactd-report/v1";
 
 /// Run identity: the knobs that shaped the feed and the query load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaemonMeta {
     pub seed: u64,
     /// Target attack count the pinned catalog was divided to.
@@ -51,7 +54,7 @@ pub struct DaemonMeta {
 }
 
 /// A complete daemon report, convertible to and from schema-`v1` JSON.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaemonReport {
     pub meta: DaemonMeta,
     // Ingest side.
@@ -116,43 +119,70 @@ impl DaemonReport {
         doc
     }
 
-    /// Rebuild a report from schema-`v1` JSON. Runs full validation first,
-    /// so `from_json(doc)?` doubles as a validity check.
+    /// Read a daemon report back: the one pass that checks and reads the
+    /// document, collecting every violation. Beyond field shape this
+    /// enforces the shed-accounting identity (`queries_sent == ok +
+    /// not_found + shed + errors`) and a `0x`-prefixed hex fingerprint.
     pub fn from_json(doc: &Json) -> Result<DaemonReport, Vec<String>> {
-        validate(doc)?;
-        let get = |outer: &str, key: &str| doc.get(outer).and_then(|o| o.get(key)).cloned();
-        let u = |outer: &str, key: &str| get(outer, key).and_then(|v| v.as_u64()).unwrap_or(0);
-        let f = |outer: &str, key: &str| get(outer, key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        let s = |outer: &str, key: &str| {
-            get(outer, key).and_then(|v| v.as_str().map(str::to_string)).unwrap_or_default()
-        };
-        Ok(DaemonReport {
-            meta: DaemonMeta {
-                seed: u("meta", "seed"),
-                scale: u("meta", "scale"),
-                months: u("meta", "months"),
-                jobs: u("meta", "jobs"),
-                date: s("meta", "date"),
-                clients: u("meta", "clients"),
-                zipf_s: f("meta", "zipf_s"),
-                staleness_bound_s: u("meta", "staleness_bound_s"),
-            },
-            batches: u("ingest", "batches"),
-            records: u("ingest", "records"),
-            episodes: u("ingest", "episodes"),
-            ingest_wall_ms: u("ingest", "wall_ms"),
-            fingerprint: s("ingest", "fingerprint"),
-            queries_sent: u("serving", "queries_sent"),
-            ok: u("serving", "ok"),
-            not_found: u("serving", "not_found"),
-            shed: u("serving", "shed"),
-            errors: u("serving", "errors"),
-            qps: f("serving", "qps"),
-            p50_us: f("serving", "p50_us"),
-            p95_us: f("serving", "p95_us"),
-            p99_us: f("serving", "p99_us"),
-            staleness_s: u("serving", "staleness_s"),
-        })
+        let mut errors = Vec::new();
+        let e = &mut errors;
+        let mut r = DaemonReport::default();
+        check_schema(doc, DAEMON_SCHEMA_ID, e);
+        if let Some(m) = require(doc, "meta", "$", e) {
+            let u = |key: &str, e: &mut Vec<String>| {
+                require_u64(m, key, "$.meta", e).unwrap_or_default()
+            };
+            r.meta = DaemonMeta {
+                seed: u("seed", e),
+                scale: u("scale", e),
+                months: u("months", e),
+                jobs: u("jobs", e),
+                clients: u("clients", e),
+                staleness_bound_s: u("staleness_bound_s", e),
+                zipf_s: require_finite_f64(m, "zipf_s", "$.meta", e).unwrap_or_default(),
+                date: require_date(m, "$.meta", e).unwrap_or_default().to_string(),
+            };
+        }
+        if let Some(i) = require(doc, "ingest", "$", e) {
+            let u = |key: &str, e: &mut Vec<String>| {
+                require_u64(i, key, "$.ingest", e).unwrap_or_default()
+            };
+            r.batches = u("batches", e);
+            r.records = u("records", e);
+            r.episodes = u("episodes", e);
+            r.ingest_wall_ms = u("wall_ms", e);
+            r.fingerprint =
+                require_hex_fp(i, "fingerprint", "$.ingest", e).unwrap_or_default().to_string();
+        }
+        if let Some(s) = require(doc, "serving", "$", e) {
+            let u = |key: &str, e: &mut Vec<String>| require_u64(s, key, "$.serving", e);
+            let (sent, ok, not_found, shed, errs) =
+                (u("queries_sent", e), u("ok", e), u("not_found", e), u("shed", e), u("errors", e));
+            r.staleness_s = u("staleness_s", e).unwrap_or_default();
+            let f = |key: &str, e: &mut Vec<String>| {
+                require_finite_f64(s, key, "$.serving", e).unwrap_or_default()
+            };
+            (r.qps, r.p50_us, r.p95_us, r.p99_us) =
+                (f("qps", e), f("p50_us", e), f("p95_us", e), f("p99_us", e));
+            if let (Some(sent), Some(ok), Some(nf), Some(shed), Some(errs)) =
+                (sent, ok, not_found, shed, errs)
+            {
+                let what = "$.serving.queries_sent: ok + not_found + shed + errors";
+                if let Some(sum) = checked_sum([ok, nf, shed, errs], what, e).filter(|&n| n != sent)
+                {
+                    e.push(format!(
+                        "$.serving.queries_sent ({sent}) != ok + not_found + shed + errors \
+                         ({sum}) — every offered query must be accounted for exactly once"
+                    ));
+                }
+            }
+            r.queries_sent = sent.unwrap_or_default();
+            r.ok = ok.unwrap_or_default();
+            r.not_found = not_found.unwrap_or_default();
+            r.shed = shed.unwrap_or_default();
+            r.errors = errs.unwrap_or_default();
+        }
+        ok_if_clean(r, errors)
     }
 
     /// Human-readable summary for stderr.
@@ -186,61 +216,6 @@ impl DaemonReport {
             self.p50_us, self.p95_us, self.p99_us, self.staleness_s
         );
         out
-    }
-}
-
-/// Validate a document against schema `dnsimpactd-report/v1`. Returns the
-/// full list of violations rather than stopping at the first. Beyond
-/// field shape this enforces the shed-accounting identity
-/// (`queries_sent == ok + not_found + shed + errors`) and a `0x`-prefixed
-/// fingerprint.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    check_schema(doc, DAEMON_SCHEMA_ID, &mut errors);
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        for key in ["seed", "scale", "months", "jobs", "clients", "staleness_bound_s"] {
-            require_u64(meta, key, "$.meta", &mut errors);
-        }
-        require_finite_f64(meta, "zipf_s", "$.meta", &mut errors);
-        require_date(meta, "$.meta", &mut errors);
-    }
-    if let Some(ingest) = require(doc, "ingest", "$", &mut errors) {
-        for key in ["batches", "records", "episodes", "wall_ms"] {
-            require_u64(ingest, key, "$.ingest", &mut errors);
-        }
-        match require(ingest, "fingerprint", "$.ingest", &mut errors) {
-            Some(Json::Str(fp)) if fp.starts_with("0x") && fp.len() > 2 => {}
-            Some(Json::Str(fp)) => {
-                errors.push(format!("$.ingest.fingerprint {fp:?} must be 0x-prefixed hex"))
-            }
-            Some(_) => errors.push("$.ingest.fingerprint must be a string".into()),
-            None => {}
-        }
-    }
-    if let Some(serving) = require(doc, "serving", "$", &mut errors) {
-        for key in ["queries_sent", "ok", "not_found", "shed", "errors", "staleness_s"] {
-            require_u64(serving, key, "$.serving", &mut errors);
-        }
-        for key in ["qps", "p50_us", "p95_us", "p99_us"] {
-            require_finite_f64(serving, key, "$.serving", &mut errors);
-        }
-        let u = |key: &str| serving.get(key).and_then(|v| v.as_u64());
-        if let (Some(sent), Some(ok), Some(nf), Some(shed), Some(errs)) =
-            (u("queries_sent"), u("ok"), u("not_found"), u("shed"), u("errors"))
-        {
-            if ok + nf + shed + errs != sent {
-                errors.push(format!(
-                    "$.serving.queries_sent ({sent}) != ok + not_found + shed + errors ({}) — \
-                     every offered query must be accounted for exactly once",
-                    ok + nf + shed + errs
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
@@ -289,35 +264,35 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_wrong_schema_and_missing_sections() {
+    fn from_json_rejects_wrong_schema_and_missing_sections() {
         let mut doc = sample_report().to_json();
         doc.set("schema", Json::Str("dnsimpact-sweep/v1".into()));
-        let errors = validate(&doc).unwrap_err();
+        let errors = DaemonReport::from_json(&doc).unwrap_err();
         assert!(errors[0].contains(DAEMON_SCHEMA_ID), "{errors:?}");
 
         let empty = Json::obj();
-        let errors = validate(&empty).unwrap_err();
+        let errors = DaemonReport::from_json(&empty).unwrap_err();
         for field in ["$.schema", "$.meta", "$.ingest", "$.serving"] {
             assert!(errors.iter().any(|e| e.contains(field)), "{field}: {errors:?}");
         }
     }
 
     #[test]
-    fn validate_enforces_shed_accounting_identity() {
+    fn from_json_enforces_shed_accounting_identity() {
         let mut report = sample_report();
         report.shed += 1;
-        let errors = validate(&report.to_json()).unwrap_err();
+        let errors = DaemonReport::from_json(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("accounted for exactly once")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_bad_fingerprint_and_nan() {
+    fn from_json_rejects_bad_fingerprint_and_nan() {
         let mut report = sample_report();
         report.fingerprint = "9f2a".into();
         report.qps = f64::NAN;
         let text = report.to_json().pretty();
         let doc = Json::parse(&text).unwrap();
-        let errors = validate(&doc).unwrap_err();
+        let errors = DaemonReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("0x-prefixed")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("$.serving.qps")), "{errors:?}");
     }

@@ -16,6 +16,7 @@
 //! and single-process quantiles are directly comparable. `count`, `sum`,
 //! `min`, and `max` are exact under merging.
 
+use crate::check::{ok_if_clean, require, require_u64, u64_array};
 use crate::json::Json;
 use crate::metrics::HistogramSnapshot;
 
@@ -74,7 +75,9 @@ impl Hist {
         if buckets.len() > BUCKETS {
             return Err(format!("{} buckets; the log2 grid has at most {BUCKETS}", buckets.len()));
         }
-        let total: u64 = buckets.iter().sum();
+        let Some(total) = buckets.iter().try_fold(0u64, |t, &b| t.checked_add(b)) else {
+            return Err("bucket counts overflow u64".into());
+        };
         if total != count {
             return Err(format!("bucket counts sum to {total}, count says {count}"));
         }
@@ -187,49 +190,13 @@ impl Hist {
     /// a report cannot claim percentiles its distribution does not have.
     pub fn from_json(doc: &Json, path: &str) -> Result<Hist, Vec<String>> {
         let mut errors = Vec::new();
-        let u = |key: &str, errors: &mut Vec<String>| -> Option<u64> {
-            match doc.get(key) {
-                Some(v) => match v.as_u64() {
-                    Some(n) => Some(n),
-                    None => {
-                        errors.push(format!("{path}.{key} must be an unsigned integer"));
-                        None
-                    }
-                },
-                None => {
-                    errors.push(format!("missing field {path}.{key}"));
-                    None
-                }
-            }
-        };
+        let u = |key: &str, errors: &mut Vec<String>| require_u64(doc, key, path, errors);
         let count = u("count", &mut errors);
         let sum = u("sum", &mut errors);
         let min = u("min", &mut errors);
         let max = u("max", &mut errors);
-        let buckets: Option<Vec<u64>> = match doc.get("buckets") {
-            Some(Json::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                let mut ok = true;
-                for (i, b) in items.iter().enumerate() {
-                    match b.as_u64() {
-                        Some(n) => out.push(n),
-                        None => {
-                            errors.push(format!("{path}.buckets[{i}] must be an unsigned integer"));
-                            ok = false;
-                        }
-                    }
-                }
-                ok.then_some(out)
-            }
-            Some(_) => {
-                errors.push(format!("{path}.buckets must be an array"));
-                None
-            }
-            None => {
-                errors.push(format!("missing field {path}.buckets"));
-                None
-            }
-        };
+        let buckets = require(doc, "buckets", path, &mut errors)
+            .and_then(|b| u64_array(b, &format!("{path}.buckets"), &mut errors));
         let (Some(count), Some(sum), Some(min), Some(max), Some(buckets)) =
             (count, sum, min, max, buckets)
         else {
@@ -247,11 +214,7 @@ impl Hist {
                 }
             }
         }
-        if errors.is_empty() {
-            Ok(h)
-        } else {
-            Err(errors)
-        }
+        ok_if_clean(h, errors)
     }
 
     fn trim(&mut self) {

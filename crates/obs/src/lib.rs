@@ -44,21 +44,22 @@
 //!   Chrome-trace export, causality checking, and the `repro explain`
 //!   timeline renderer;
 //! - [`report`]: the stable-schema machine-readable run report
-//!   (`dnsimpact-metrics/v2`), its JSON round-trip, schema validation,
-//!   counter-invariant checks, and the bench-regression comparator;
+//!   (`dnsimpact-metrics/v2`), its JSON writer and checking reader (which
+//!   also reads legacy v1 files), counter-invariant checks, and the
+//!   bench-regression comparator;
 //! - [`hist`]: plain-value log2 histograms ([`hist::Hist`]) rebuildable
 //!   from a report's `buckets` array and mergeable bucket-wise across
 //!   processes — the exact-merge backbone of `repro bench --suite`;
 //! - [`sweep`]: the scale-sweep report (`dnsimpact-sweep/v1`) emitted by
 //!   `repro bench --scale-sweep` — per-(scale, jobs) throughput, wall, and
-//!   peak-RSS cells, with strict sortedness/finiteness validation;
+//!   peak-RSS cells, read back with strict sortedness/finiteness checks;
 //! - [`suite`]: the process-suite report (`dnsimpact-suite/v1`) emitted by
 //!   `repro bench --suite` — Suite A deterministic cells, Suite B merged
 //!   per-process percentiles, and the per-cell verdict table;
 //! - [`daemon`]: the daemon serving-benchmark report
 //!   (`dnsimpactd-report/v1`) emitted by `repro daemon-bench` — ingest
 //!   fingerprint plus query QPS/tail-latency, with the shed-accounting
-//!   identity enforced at validation;
+//!   identity enforced when it is read;
 //! - [`timeseries`]: the live plane's bounded tick ring ([`TsStore`]) —
 //!   per-tick counter deltas and gauge levels on a feed-sequence tick
 //!   clock, with eviction accounting that makes "no sample lost or
@@ -70,6 +71,11 @@
 //! - [`live`]: the live-telemetry report (`dnsimpactd-live/v1`) — tick
 //!   series, SLO verdicts, and final state split into `deterministic` /
 //!   `annotation` halves, validated down to the delta-conservation law;
+//! - [`read_report`]: the one entry point that reads any of the report
+//!   schemas above by its `$.schema` id. Each typed report's `from_json`
+//!   is a single pass that checks and reads the document (there is no
+//!   separate validator); `repro validate-metrics`, `repro bench
+//!   --trajectory` and the report writers all go through it;
 //! - [`json`]: the dependency-free JSON value/writer/parser the report
 //!   rides on;
 //! - [`progress`]: stderr-only progress/timing lines, so nothing
@@ -84,6 +90,7 @@ pub mod json;
 pub mod live;
 pub mod metrics;
 pub mod progress;
+mod read;
 pub mod report;
 pub mod rss;
 pub mod slo;
@@ -99,6 +106,7 @@ pub use json::Json;
 pub use live::{LiveFinal, LiveMeta, LIVE_SCHEMA_ID};
 pub use metrics::{counter, gauge, histogram, registry, Counter, Gauge, Histogram, Snapshot};
 pub use progress::progress;
+pub use read::{read_report, schema_label, Report};
 pub use report::{RunMeta, RunReport, StageWall, SCHEMA_ID};
 pub use slo::{SloKind, SloSet, SloSpec, SloStatus, Transition};
 pub use span::span;

@@ -25,7 +25,10 @@
 //! is how a committed report proves no sample was dropped or
 //! double-counted across ring wrap.
 
-use crate::check::{check_schema, require, require_date, require_u64};
+use crate::check::{
+    check_schema, checked_sum, ok_if_clean, require, require_date, require_hex_fp, require_u64,
+    u64_array,
+};
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::metrics::Snapshot;
@@ -198,28 +201,6 @@ pub fn build(
     doc
 }
 
-fn u64_array(v: &Json, path: &str, errors: &mut Vec<String>) -> Option<Vec<u64>> {
-    match v.as_array() {
-        Some(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                match item.as_u64() {
-                    Some(n) => out.push(n),
-                    None => {
-                        errors.push(format!("{path}[{i}] must be an unsigned integer"));
-                        return None;
-                    }
-                }
-            }
-            Some(out)
-        }
-        None => {
-            errors.push(format!("{path} must be an array"));
-            None
-        }
-    }
-}
-
 fn validate_series(list: &Json, path: &str, errors: &mut Vec<String>) {
     let Some(items) = list.as_array() else {
         errors.push(format!("{path} must be an array"));
@@ -261,9 +242,11 @@ fn validate_series(list: &Json, path: &str, errors: &mut Vec<String>) {
                 errors.push(format!("{p}.ticks must be strictly increasing"));
             }
             if kind == "delta" {
-                if let (Some(e), Some(c)) = (evicted, cumulative) {
-                    let window_sum: u64 = values.iter().sum();
-                    if e + window_sum != c {
+                let window_sum =
+                    checked_sum(values.iter().copied(), &format!("{p}.values sum"), errors);
+                if let (Some(e), Some(c), Some(window_sum)) = (evicted, cumulative, window_sum) {
+                    let what = format!("{p}.evicted_sum + window sum");
+                    if checked_sum([e, window_sum], &what, errors).is_some_and(|total| total != c) {
                         errors.push(format!(
                             "{p} ({name:?}): evicted_sum {e} + window sum {window_sum} != \
                              cumulative {c} — a sample was dropped or double-counted"
@@ -310,13 +293,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             ] {
                 require_u64(fin, key, "$.deterministic.final", &mut errors);
             }
-            match require(fin, "full_fp", "$.deterministic.final", &mut errors) {
-                Some(Json::Str(fp)) if fp.starts_with("0x") && fp.len() > 2 => {}
-                Some(Json::Str(fp)) => errors
-                    .push(format!("$.deterministic.final.full_fp {fp:?} must be 0x-prefixed hex")),
-                Some(_) => errors.push("$.deterministic.final.full_fp must be a string".into()),
-                None => {}
-            }
+            require_hex_fp(fin, "full_fp", "$.deterministic.final", &mut errors);
         }
         if let Some(series) = require(det, "series", "$.deterministic", &mut errors) {
             validate_series(series, "$.deterministic.series", &mut errors);
@@ -393,11 +370,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             }
         }
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    ok_if_clean((), errors)
 }
 
 #[cfg(test)]

@@ -42,20 +42,24 @@
 //! without it stay valid; the suite orchestrator requires it to merge
 //! per-process distributions exactly ([`crate::hist`]).
 
-use crate::check::{check_schema, require, require_date, require_u64};
+use crate::check::{
+    check_schema, checked_sum, ok_if_clean, require, require_array, require_bool, require_date,
+    require_object, require_opt_u64, require_str, require_u64, u64_array,
+};
 use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, Snapshot};
 use crate::trace::{EventKind, TraceSummary};
+use std::collections::BTreeMap;
 
 /// Schema identifier carried in every report.
 pub const SCHEMA_ID: &str = "dnsimpact-metrics/v2";
 
 /// The pre-trace schema id. Reports committed under `results/` before the
-/// v2 bump still validate — under the rules of their day ([`validate_legacy_v1`]).
+/// v2 bump still read — under the field set of their day ([`RunReport::from_json`]).
 pub const LEGACY_SCHEMA_ID: &str = "dnsimpact-metrics/v1";
 
 /// Run identity: the inputs that determine the deterministic metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMeta {
     pub seed: u64,
     pub scale: u64,
@@ -161,117 +165,82 @@ impl RunReport {
         doc
     }
 
-    /// Rebuild a report from schema-`v2` JSON. Runs full schema validation
-    /// first, so `from_json(text)?` doubles as a validity check. On a
-    /// document [`validate`] passes every accessor below succeeds; any gap
-    /// between the two (a validator blind spot, a hand-edited file) comes
-    /// back as a named-field error, never a panic.
+    /// Read a run report back: the one pass that both checks the schema
+    /// and reads every field. Every violation is collected, not just the
+    /// first, and the report comes back only when there are none. A legacy
+    /// `dnsimpact-metrics/v1` document reads under the v1 field set: it has
+    /// no `meta.run`, histogram `p95` or `trace` block, which read as 0 /
+    /// empty.
     pub fn from_json(doc: &Json) -> Result<RunReport, Vec<String>> {
-        validate(doc)?;
-        let meta = want(doc, "$", "meta")?;
-        let run_meta = RunMeta {
-            seed: want_u64(meta, "$.meta", "seed")?,
-            scale: want_u64(meta, "$.meta", "scale")?,
-            jobs: want_u64(meta, "$.meta", "jobs")?,
-            run: want_u64(meta, "$.meta", "run")?,
-            chaos_seed: want(meta, "$.meta", "chaos_seed")?.as_u64(),
-            bench: matches!(want(meta, "$.meta", "bench")?, Json::Bool(true)),
-            date: want_str(meta, "$.meta", "date")?,
-            experiments: want_array(meta, "$.meta", "experiments")?
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    e.as_str().map(str::to_string).ok_or_else(|| {
-                        vec![format!("malformed report: $.meta.experiments[{i}] is not a string")]
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let stages = want_array(doc, "$", "stages")?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let path = format!("$.stages[{i}]");
-                Ok(StageWall {
-                    name: want_str(s, &path, "name")?,
-                    wall_ms: want_u64(s, &path, "wall_ms")?,
-                })
-            })
-            .collect::<Result<_, Vec<String>>>()?;
-        let u64_map =
-            |key: &'static str| -> Result<std::collections::BTreeMap<String, u64>, Vec<String>> {
-                want_object(doc, "$", key)?
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                            vec![format!(
-                                "malformed report: $.{key}.{k} is not an unsigned integer"
-                            )]
-                        })
-                    })
-                    .collect()
-            };
+        let legacy = doc.get("schema").and_then(Json::as_str) == Some(LEGACY_SCHEMA_ID);
+        let mut errors = Vec::new();
+        let e = &mut errors;
+        check_schema(doc, if legacy { LEGACY_SCHEMA_ID } else { SCHEMA_ID }, e);
+        let meta = require(doc, "meta", "$", e).map(|m| read_meta(m, legacy, e));
+        let total_wall_ms = require_u64(doc, "total_wall_ms", "$", e).unwrap_or_default();
+        let peak_rss_kb = require_u64(doc, "peak_rss_kb", "$", e).unwrap_or_default();
+        let mut stages = Vec::new();
+        for (i, s) in require_array(doc, "stages", "$", e).unwrap_or_default().iter().enumerate() {
+            let path = format!("$.stages[{i}]");
+            stages.push(StageWall {
+                name: require_str(s, "name", &path, e).unwrap_or_default().to_string(),
+                wall_ms: require_u64(s, "wall_ms", &path, e).unwrap_or_default(),
+            });
+        }
         let metrics = Snapshot {
-            counters: u64_map("counters")?,
-            gauges: u64_map("gauges")?,
-            histograms: want_object(doc, "$", "histograms")?
-                .iter()
-                .map(|(k, h)| {
-                    let path = format!("$.histograms.{k}");
-                    Ok((
-                        k.clone(),
-                        HistogramSnapshot {
-                            count: want_u64(h, &path, "count")?,
-                            sum: want_u64(h, &path, "sum")?,
-                            min: want_u64(h, &path, "min")?,
-                            max: want_u64(h, &path, "max")?,
-                            p50: want_u64(h, &path, "p50")?,
-                            p90: want_u64(h, &path, "p90")?,
-                            p95: want_u64(h, &path, "p95")?,
-                            p99: want_u64(h, &path, "p99")?,
-                            // Optional: pre-buckets reports carry none.
-                            buckets: match h.get("buckets") {
-                                None => Vec::new(),
-                                Some(b) => b
-                                    .as_array()
-                                    .and_then(|items| {
-                                        items.iter().map(Json::as_u64).collect::<Option<_>>()
-                                    })
-                                    .ok_or_else(|| {
-                                        vec![format!(
-                                            "malformed report: {path}.buckets is not an \
-                                             unsigned-integer array"
-                                        )]
-                                    })?,
-                            },
-                        },
-                    ))
-                })
-                .collect::<Result<_, Vec<String>>>()?,
+            counters: read_u64_map(doc, "counters", "$", e).into_iter().collect(),
+            gauges: read_u64_map(doc, "gauges", "$", e).into_iter().collect(),
+            histograms: read_histograms(doc, legacy, e),
         };
-        let t = want(doc, "$", "trace")?;
-        let trace = TraceSummary {
-            events: want_u64(t, "$.trace", "events")?,
-            dropped: want_u64(t, "$.trace", "dropped")?,
-            by_kind: want_object(t, "$.trace", "by_kind")?
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64().map(|n| (k.clone(), n)).ok_or_else(|| {
-                        vec![format!(
-                            "malformed report: $.trace.by_kind.{k} is not an unsigned integer"
-                        )]
-                    })
-                })
-                .collect::<Result<_, _>>()?,
+        let trace = if legacy {
+            TraceSummary::default()
+        } else {
+            require(doc, "trace", "$", e).map(|t| read_trace(t, e)).unwrap_or_default()
         };
-        Ok(RunReport {
-            meta: run_meta,
-            total_wall_ms: want_u64(doc, "$", "total_wall_ms")?,
-            peak_rss_kb: want_u64(doc, "$", "peak_rss_kb")?,
+        let report = RunReport {
+            meta: meta.unwrap_or_default(),
+            total_wall_ms,
+            peak_rss_kb,
             stages,
             metrics,
             trace,
-        })
+        };
+        ok_if_clean(report, errors)
+    }
+
+    /// Check the cross-counter invariants CI gates on. Assumes a
+    /// *completed* run (every injected fault has had its repair window):
+    ///
+    /// - `chaos.faults_injected > 0` ⇒ `chaos.faults_repaired` equals it;
+    /// - `reactive.trigger_latency_max_secs` ≤ 10 minutes;
+    /// - `reactive.probe_round_max_probes` ≤ 50.
+    pub fn check_invariants(&self) -> Result<(), Vec<String>> {
+        let mut errors = Vec::new();
+        let counter = |name: &str| self.metrics.counters.get(name).copied().unwrap_or(0);
+        let gauge = |name: &str| self.metrics.gauges.get(name).copied().unwrap_or(0);
+
+        let injected = counter("chaos.faults_injected");
+        let repaired = counter("chaos.faults_repaired");
+        if injected > 0 && repaired != injected {
+            errors.push(format!(
+                "chaos.faults_repaired ({repaired}) != chaos.faults_injected ({injected})"
+            ));
+        }
+        let latency = gauge("reactive.trigger_latency_max_secs");
+        if latency > MAX_TRIGGER_LATENCY_SECS {
+            errors.push(format!(
+                "reactive.trigger_latency_max_secs ({latency}) exceeds the \
+                 {MAX_TRIGGER_LATENCY_SECS}s bound"
+            ));
+        }
+        let probes = gauge("reactive.probe_round_max_probes");
+        if probes > MAX_PROBES_PER_ROUND {
+            errors.push(format!(
+                "reactive.probe_round_max_probes ({probes}) exceeds the \
+                 {MAX_PROBES_PER_ROUND}-domain budget"
+            ));
+        }
+        ok_if_clean((), errors)
     }
 
     /// Human-readable summary for `--metrics-summary` (stderr). Shows the
@@ -335,247 +304,101 @@ impl RunReport {
     }
 }
 
-// `from_json` accessors: like `require*` but fallible-by-return, for the
-// reconstruction path — a missing or mistyped field yields a named error
-// the caller can surface, never a panic.
-fn want<'a>(obj: &'a Json, path: &str, key: &str) -> Result<&'a Json, Vec<String>> {
-    obj.get(key).ok_or_else(|| vec![format!("malformed report: missing {path}.{key}")])
-}
-
-fn want_u64(obj: &Json, path: &str, key: &str) -> Result<u64, Vec<String>> {
-    want(obj, path, key)?
-        .as_u64()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an unsigned integer")])
-}
-
-fn want_str(obj: &Json, path: &str, key: &str) -> Result<String, Vec<String>> {
-    want(obj, path, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not a string")])
-}
-
-fn want_array<'a>(obj: &'a Json, path: &str, key: &str) -> Result<&'a [Json], Vec<String>> {
-    want(obj, path, key)?
-        .as_array()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an array")])
-}
-
-fn want_object<'a>(
-    obj: &'a Json,
-    path: &str,
-    key: &str,
-) -> Result<&'a [(String, Json)], Vec<String>> {
-    want(obj, path, key)?
-        .as_object()
-        .ok_or_else(|| vec![format!("malformed report: {path}.{key} is not an object")])
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum MapKind {
-    /// Flat name → u64 (counters and gauges).
-    Counters,
-    /// Histogram summary objects, v2 shape (with `p95`).
-    Histograms,
-    /// Histogram summary objects as v1 wrote them: no `p95`.
-    HistogramsV1,
-}
-
-fn check_metric_map(doc: &Json, key: &str, errors: &mut Vec<String>, kind: MapKind) {
-    let Some(map) = require(doc, key, "$", errors) else {
-        return;
-    };
-    let Some(pairs) = map.as_object() else {
-        errors.push(format!("$.{key} must be an object"));
-        return;
-    };
-    for (name, v) in pairs {
-        if kind != MapKind::Counters {
-            if v.as_object().is_none() {
-                errors.push(format!("$.{key}.{name} must be an object"));
-                continue;
+fn read_meta(m: &Json, legacy: bool, e: &mut Vec<String>) -> RunMeta {
+    const P: &str = "$.meta";
+    RunMeta {
+        seed: require_u64(m, "seed", P, e).unwrap_or_default(),
+        scale: require_u64(m, "scale", P, e).unwrap_or_default(),
+        jobs: require_u64(m, "jobs", P, e).unwrap_or_default(),
+        run: if legacy { 0 } else { require_u64(m, "run", P, e).unwrap_or_default() },
+        chaos_seed: require_opt_u64(m, "chaos_seed", P, e).flatten(),
+        bench: require_bool(m, "bench", P, e).unwrap_or_default(),
+        date: require_date(m, P, e).unwrap_or_default().to_string(),
+        experiments: {
+            let items = require_array(m, "experiments", P, e).unwrap_or_default();
+            let names: Option<Vec<String>> =
+                items.iter().map(|x| x.as_str().map(str::to_string)).collect();
+            if names.is_none() {
+                e.push("$.meta.experiments entries must be strings".into());
             }
-            let fields: &[&str] = if kind == MapKind::HistogramsV1 {
-                &["count", "sum", "min", "max", "p50", "p90", "p99"]
-            } else {
-                &["count", "sum", "min", "max", "p50", "p90", "p95", "p99"]
-            };
-            for field in fields {
-                require_u64(v, field, &format!("$.{key}.{name}"), errors);
-            }
-            // `buckets` is optional (pre-buckets reports), but when present
-            // it must be a u64 array whose counts sum to `count` — the
-            // suite merge relies on the accounting.
-            match v.get("buckets") {
-                None => {}
-                Some(Json::Array(items)) => {
-                    let mut total = 0u64;
-                    let mut well_typed = true;
-                    for (i, b) in items.iter().enumerate() {
-                        match b.as_u64() {
-                            Some(n) => total += n,
-                            None => {
-                                errors.push(format!(
-                                    "$.{key}.{name}.buckets[{i}] must be an unsigned integer"
-                                ));
-                                well_typed = false;
-                            }
-                        }
-                    }
-                    let count = v.get("count").and_then(Json::as_u64);
-                    if well_typed && count.is_some_and(|c| c != total) {
-                        errors.push(format!(
-                            "$.{key}.{name}.buckets sum to {total} but count is {}",
-                            count.unwrap_or(0)
-                        ));
-                    }
-                }
-                Some(_) => errors.push(format!("$.{key}.{name}.buckets must be an array")),
-            }
-        } else if v.as_u64().is_none() {
-            errors.push(format!("$.{key}.{name} must be an unsigned integer"));
-        }
+            names.unwrap_or_default()
+        },
     }
 }
 
-/// Validate a document against schema `dnsimpact-metrics/v2`. Returns the
-/// full list of violations rather than stopping at the first.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    validate_as(doc, false)
-}
-
-/// Validate a document against the legacy `dnsimpact-metrics/v1` schema:
-/// v2 without `meta.run`, histogram `p95`, or the `trace` block. Only for
-/// reports that predate the bump — new reports must validate as v2.
-pub fn validate_legacy_v1(doc: &Json) -> Result<(), Vec<String>> {
-    validate_as(doc, true)
-}
-
-fn validate_as(doc: &Json, legacy: bool) -> Result<(), Vec<String>> {
-    let want_schema = if legacy { LEGACY_SCHEMA_ID } else { SCHEMA_ID };
-    let mut errors = Vec::new();
-    check_schema(doc, want_schema, &mut errors);
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        let meta_keys: &[&str] =
-            if legacy { &["seed", "scale", "jobs"] } else { &["seed", "scale", "jobs", "run"] };
-        for key in meta_keys {
-            require_u64(meta, key, "$.meta", &mut errors);
-        }
-        match require(meta, "chaos_seed", "$.meta", &mut errors) {
-            Some(Json::Null) | Some(Json::U64(_)) | None => {}
-            Some(_) => errors.push("$.meta.chaos_seed must be null or an unsigned integer".into()),
-        }
-        match require(meta, "bench", "$.meta", &mut errors) {
-            Some(Json::Bool(_)) | None => {}
-            Some(_) => errors.push("$.meta.bench must be a boolean".into()),
-        }
-        require_date(meta, "$.meta", &mut errors);
-        match require(meta, "experiments", "$.meta", &mut errors) {
-            Some(Json::Array(items)) if items.iter().any(|e| e.as_str().is_none()) => {
-                errors.push("$.meta.experiments entries must be strings".into());
-            }
-            Some(Json::Array(_)) | None => {}
-            Some(_) => errors.push("$.meta.experiments must be an array".into()),
+/// The name → unsigned-integer object at `{path}.{key}` (counters,
+/// gauges, trace kinds).
+fn read_u64_map(obj: &Json, key: &str, path: &str, e: &mut Vec<String>) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (name, v) in require_object(obj, key, path, e).unwrap_or_default() {
+        match v.as_u64() {
+            Some(n) => out.push((name.clone(), n)),
+            None => e.push(format!("{path}.{key}.{name} must be an unsigned integer")),
         }
     }
-    require_u64(doc, "total_wall_ms", "$", &mut errors);
-    require_u64(doc, "peak_rss_kb", "$", &mut errors);
-    match require(doc, "stages", "$", &mut errors) {
-        Some(Json::Array(items)) => {
-            for (i, s) in items.iter().enumerate() {
-                let path = format!("$.stages[{i}]");
-                match require(s, "name", &path, &mut errors) {
-                    Some(Json::Str(_)) | None => {}
-                    Some(_) => errors.push(format!("{path}.name must be a string")),
-                }
-                require_u64(s, "wall_ms", &path, &mut errors);
-            }
+    out
+}
+
+/// `$.histograms`: summary objects (v1 wrote them without `p95`). The
+/// `buckets` array is optional (pre-buckets reports), but when present
+/// its counts must sum to `count` — the suite merge relies on it.
+fn read_histograms(
+    doc: &Json,
+    legacy: bool,
+    e: &mut Vec<String>,
+) -> BTreeMap<String, HistogramSnapshot> {
+    let mut out = BTreeMap::new();
+    for (name, h) in require_object(doc, "histograms", "$", e).unwrap_or_default() {
+        let path = format!("$.histograms.{name}");
+        if h.as_object().is_none() {
+            e.push(format!("{path} must be an object"));
+            continue;
         }
-        Some(_) => errors.push("$.stages must be an array".into()),
-        None => {}
-    }
-    check_metric_map(doc, "counters", &mut errors, MapKind::Counters);
-    check_metric_map(doc, "gauges", &mut errors, MapKind::Counters);
-    check_metric_map(
-        doc,
-        "histograms",
-        &mut errors,
-        if legacy { MapKind::HistogramsV1 } else { MapKind::Histograms },
-    );
-    if legacy {
-        // v1 predates the trace block entirely.
-    } else if let Some(trace) = require(doc, "trace", "$", &mut errors) {
-        require_u64(trace, "events", "$.trace", &mut errors);
-        require_u64(trace, "dropped", "$.trace", &mut errors);
-        match require(trace, "by_kind", "$.trace", &mut errors) {
-            Some(Json::Object(pairs)) => {
-                for (kind, n) in pairs {
-                    if EventKind::parse(kind).is_none() {
-                        errors.push(format!("$.trace.by_kind key {kind:?} is not an event kind"));
-                    }
-                    if n.as_u64().is_none() {
-                        errors.push(format!("$.trace.by_kind.{kind} must be an unsigned integer"));
-                    }
+        let u = |key: &str, e: &mut Vec<String>| require_u64(h, key, &path, e);
+        let count = u("count", e);
+        let mut snap = HistogramSnapshot {
+            count: count.unwrap_or_default(),
+            sum: u("sum", e).unwrap_or_default(),
+            min: u("min", e).unwrap_or_default(),
+            max: u("max", e).unwrap_or_default(),
+            p50: u("p50", e).unwrap_or_default(),
+            p90: u("p90", e).unwrap_or_default(),
+            p95: if legacy { 0 } else { u("p95", e).unwrap_or_default() },
+            p99: u("p99", e).unwrap_or_default(),
+            buckets: Vec::new(),
+        };
+        if let Some(b) = h.get("buckets") {
+            let buckets = u64_array(b, &format!("{path}.buckets"), e);
+            let total = buckets
+                .as_ref()
+                .and_then(|b| checked_sum(b.iter().copied(), &format!("{path}.buckets sum"), e));
+            if let (Some(total), Some(count)) = (total, count) {
+                if total != count {
+                    e.push(format!("{path}.buckets sum to {total} but count is {count}"));
                 }
             }
-            Some(_) => errors.push("$.trace.by_kind must be an object".into()),
-            None => {}
+            snap.buckets = buckets.unwrap_or_default();
+        }
+        out.insert(name.clone(), snap);
+    }
+    out
+}
+
+fn read_trace(t: &Json, e: &mut Vec<String>) -> TraceSummary {
+    let events = require_u64(t, "events", "$.trace", e).unwrap_or_default();
+    let dropped = require_u64(t, "dropped", "$.trace", e).unwrap_or_default();
+    for (kind, _) in t.get("by_kind").and_then(Json::as_object).unwrap_or_default() {
+        if EventKind::parse(kind).is_none() {
+            e.push(format!("$.trace.by_kind key {kind:?} is not an event kind"));
         }
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    TraceSummary { events, dropped, by_kind: read_u64_map(t, "by_kind", "$.trace", e) }
 }
 
 /// Reactive trigger bound from the paper: ≤ 10 minutes.
 pub const MAX_TRIGGER_LATENCY_SECS: u64 = 600;
 /// Reactive probe budget from the paper: ≤ 50 domains per 5-minute round.
 pub const MAX_PROBES_PER_ROUND: u64 = 50;
-
-/// Check the cross-counter invariants CI gates on. Assumes a *completed*
-/// run (every injected fault has had its repair window):
-///
-/// - `chaos.faults_injected > 0` ⇒ `chaos.faults_repaired` equals it;
-/// - `reactive.trigger_latency_max_secs` ≤ 10 minutes;
-/// - `reactive.probe_round_max_probes` ≤ 50.
-pub fn check_invariants(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    let counter = |name: &str| -> u64 {
-        doc.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
-    };
-    let gauge = |name: &str| -> u64 {
-        doc.get("gauges").and_then(|g| g.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
-    };
-
-    let injected = counter("chaos.faults_injected");
-    let repaired = counter("chaos.faults_repaired");
-    if injected > 0 && repaired != injected {
-        errors.push(format!(
-            "chaos.faults_repaired ({repaired}) != chaos.faults_injected ({injected})"
-        ));
-    }
-    let latency = gauge("reactive.trigger_latency_max_secs");
-    if latency > MAX_TRIGGER_LATENCY_SECS {
-        errors.push(format!(
-            "reactive.trigger_latency_max_secs ({latency}) exceeds the \
-             {MAX_TRIGGER_LATENCY_SECS}s bound"
-        ));
-    }
-    let probes = gauge("reactive.probe_round_max_probes");
-    if probes > MAX_PROBES_PER_ROUND {
-        errors.push(format!(
-            "reactive.probe_round_max_probes ({probes}) exceeds the \
-             {MAX_PROBES_PER_ROUND}-domain budget"
-        ));
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
-}
 
 /// `repro bench --compare` wall-clock regression threshold: fail when the
 /// new run exceeds baseline × factor + floor. Generous on purpose — the
@@ -798,29 +621,29 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_sample_and_reports_all_errors() {
+    fn from_json_accepts_sample_and_reports_all_errors() {
         let mut doc = sample_report().to_json();
-        assert!(validate(&doc).is_ok());
+        assert!(RunReport::from_json(&doc).is_ok());
         doc.set("schema", Json::Str("bogus/v9".into()));
         doc.set("total_wall_ms", Json::Str("fast".into()));
-        let errors = validate(&doc).unwrap_err();
+        let errors = RunReport::from_json(&doc).unwrap_err();
         assert!(errors.len() >= 2, "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_bad_date_and_meta() {
+    fn from_json_rejects_bad_date_and_meta() {
         let mut doc = sample_report().to_json();
         let mut meta = doc.get("meta").unwrap().clone();
         meta.set("date", Json::Str("08/05/2026".into()));
         meta.set("chaos_seed", Json::Str("nine".into()));
         doc.set("meta", meta);
-        let errors = validate(&doc).unwrap_err();
+        let errors = RunReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("date")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("chaos_seed")), "{errors:?}");
     }
 
     #[test]
-    fn validate_checks_bucket_accounting_but_tolerates_absence() {
+    fn from_json_checks_bucket_accounting_but_tolerates_absence() {
         let mut doc = sample_report().to_json();
         let mut histograms = doc.get("histograms").unwrap().clone();
         let mut h = histograms.get("time.pool.task_ms").unwrap().clone();
@@ -832,7 +655,6 @@ mod tests {
         legacy_hists.set("time.pool.task_ms", legacy_h);
         let mut legacy = doc.clone();
         legacy.set("histograms", legacy_hists);
-        assert!(validate(&legacy).is_ok());
         let parsed = RunReport::from_json(&legacy).unwrap();
         assert!(parsed.metrics.histograms["time.pool.task_ms"].buckets.is_empty());
 
@@ -840,33 +662,28 @@ mod tests {
         h.set("buckets", Json::Array(vec![Json::U64(1)]));
         histograms.set("time.pool.task_ms", h);
         doc.set("histograms", histograms);
-        let errors = validate(&doc).unwrap_err();
+        let errors = RunReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("buckets sum to 1 but count is 8")), "{errors:?}");
     }
 
     #[test]
     fn invariants_catch_unrepaired_faults_and_latency() {
-        let doc = sample_report().to_json();
-        assert!(check_invariants(&doc).is_ok());
+        assert!(sample_report().check_invariants().is_ok());
 
-        let mut bad = doc.clone();
-        let mut counters = bad.get("counters").unwrap().clone();
-        counters.set("chaos.faults_repaired", Json::U64(7));
-        bad.set("counters", counters);
-        let errors = check_invariants(&bad).unwrap_err();
+        let mut bad = sample_report();
+        bad.metrics.counters.insert("chaos.faults_repaired".into(), 7);
+        let errors = bad.check_invariants().unwrap_err();
         assert!(errors[0].contains("faults_repaired"), "{errors:?}");
 
-        let mut slow = doc.clone();
-        let mut gauges = slow.get("gauges").unwrap().clone();
-        gauges.set("reactive.trigger_latency_max_secs", Json::U64(601));
-        gauges.set("reactive.probe_round_max_probes", Json::U64(51));
-        slow.set("gauges", gauges);
-        let errors = check_invariants(&slow).unwrap_err();
+        let mut slow = sample_report();
+        slow.metrics.gauges.insert("reactive.trigger_latency_max_secs".into(), 601);
+        slow.metrics.gauges.insert("reactive.probe_round_max_probes".into(), 51);
+        let errors = slow.check_invariants().unwrap_err();
         assert_eq!(errors.len(), 2, "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_bad_trace_block() {
+    fn from_json_rejects_bad_trace_block() {
         let mut doc = sample_report().to_json();
         let mut trace = doc.get("trace").unwrap().clone();
         let mut by_kind = Json::obj();
@@ -874,7 +691,7 @@ mod tests {
         by_kind.set("AttackOnset", Json::Str("three".into()));
         trace.set("by_kind", by_kind);
         doc.set("trace", trace);
-        let errors = validate(&doc).unwrap_err();
+        let errors = RunReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("NotAKind")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("by_kind.AttackOnset")), "{errors:?}");
     }

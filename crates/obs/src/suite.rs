@@ -43,7 +43,10 @@
 //! exact. The `verdicts` table names every enforced check so a CI failure
 //! points at a cell, not a blanket diff.
 
-use crate::check::{check_schema, require, require_date, require_str, require_u64};
+use crate::check::{
+    check_schema, checked_sum, ok_if_clean, require, require_array, require_bool, require_date,
+    require_object, require_str, require_u64,
+};
 use crate::hist::Hist;
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -52,7 +55,7 @@ use std::collections::BTreeMap;
 pub const SUITE_SCHEMA_ID: &str = "dnsimpact-suite/v1";
 
 /// Suite-run identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SuiteMeta {
     pub seed: u64,
     /// UTC date of the run, `YYYY-MM-DD`.
@@ -84,7 +87,7 @@ pub struct SuiteACell {
 
 /// Percentile block over one sample per process (Suite B). `p50`/`p95`/
 /// `p99` are log2-bucket upper bounds; `min`/`max` are exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Percentiles {
     pub count: u64,
     pub min: u64,
@@ -215,81 +218,190 @@ impl SuiteReport {
         doc
     }
 
-    /// Rebuild a report from schema-`v1` JSON. Validates first, so the
-    /// accessors below cannot panic on a document that passed.
+    /// Read a suite report back: the one pass that checks and reads the
+    /// document, collecting every violation. Beyond field shapes this
+    /// enforces the cross-field accounting:
+    ///
+    /// - `meta.suites` ∈ {`A`, `B`, `all`}, and the populated sections
+    ///   match (`A` → no `suite_b` rows, `B` → no `suite_a` cells, `all` →
+    ///   both);
+    /// - `meta.processes` = suite A cells + Σ suite B per-scale processes;
+    /// - suite A cell labels unique, rates finite, `kind` ∈ {repro, daemon};
+    /// - suite B rows strictly sorted by scale, percentile blocks counting
+    ///   one sample per process, merged histograms internally consistent
+    ///   ([`Hist::from_json`]: bucket accounting and honest percentiles).
     pub fn from_json(doc: &Json) -> Result<SuiteReport, Vec<String>> {
-        validate(doc)?;
-        let m = doc.get("meta").unwrap();
-        let meta = SuiteMeta {
-            seed: m.get("seed").unwrap().as_u64().unwrap(),
-            date: m.get("date").unwrap().as_str().unwrap().to_string(),
-            suites: m.get("suites").unwrap().as_str().unwrap().to_string(),
-            processes: m.get("processes").unwrap().as_u64().unwrap(),
-        };
-        let suite_a = doc
-            .get("suite_a")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|c| SuiteACell {
-                cell: c.get("cell").unwrap().as_str().unwrap().to_string(),
-                kind: c.get("kind").unwrap().as_str().unwrap().to_string(),
-                scale: c.get("scale").unwrap().as_u64().unwrap(),
-                jobs: c.get("jobs").unwrap().as_u64().unwrap(),
-                wall_ms: c.get("wall_ms").unwrap().as_u64().unwrap(),
-                peak_rss_kb: c.get("peak_rss_kb").unwrap().as_u64().unwrap(),
-                records: c.get("records").unwrap().as_u64().unwrap(),
-                records_per_sec: c.get("records_per_sec").unwrap().as_f64().unwrap(),
-                fingerprint: c.get("fingerprint").unwrap().as_str().unwrap().to_string(),
-            })
-            .collect();
-        let pct = |o: &Json| Percentiles {
-            count: o.get("count").unwrap().as_u64().unwrap(),
-            min: o.get("min").unwrap().as_u64().unwrap(),
-            p50: o.get("p50").unwrap().as_u64().unwrap(),
-            p95: o.get("p95").unwrap().as_u64().unwrap(),
-            p99: o.get("p99").unwrap().as_u64().unwrap(),
-            max: o.get("max").unwrap().as_u64().unwrap(),
-        };
-        let suite_b = doc
-            .get("suite_b")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| SuiteBScale {
-                scale: s.get("scale").unwrap().as_u64().unwrap(),
-                processes: s.get("processes").unwrap().as_u64().unwrap(),
-                wall_ms: pct(s.get("wall_ms").unwrap()),
-                peak_rss_kb: pct(s.get("peak_rss_kb").unwrap()),
-                records_per_sec: pct(s.get("records_per_sec").unwrap()),
-                merged: s
-                    .get("merged")
-                    .unwrap()
-                    .as_object()
-                    .unwrap()
-                    .iter()
-                    .map(|(name, h)| {
-                        // validate() already ran Hist::from_json on it.
-                        (name.clone(), Hist::from_json(h, name).unwrap())
-                    })
-                    .collect(),
-            })
-            .collect();
-        let verdicts = doc
-            .get("verdicts")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|v| Verdict {
-                cell: v.get("cell").unwrap().as_str().unwrap().to_string(),
-                pass: matches!(v.get("pass"), Some(Json::Bool(true))),
-                detail: v.get("detail").unwrap().as_str().unwrap().to_string(),
-            })
-            .collect();
-        Ok(SuiteReport { meta, suite_a, suite_b, verdicts })
+        let mut errors = Vec::new();
+        let e = &mut errors;
+        check_schema(doc, SUITE_SCHEMA_ID, e);
+
+        let mut meta = SuiteMeta::default();
+        let mut meta_processes = None;
+        let mut suites_kind = None;
+        if let Some(m) = require(doc, "meta", "$", e) {
+            meta.seed = require_u64(m, "seed", "$.meta", e).unwrap_or_default();
+            meta_processes = require_u64(m, "processes", "$.meta", e);
+            meta.date = require_date(m, "$.meta", e).unwrap_or_default().to_string();
+            if let Some(s) = require_str(m, "suites", "$.meta", e) {
+                meta.suites = s.to_string();
+                if matches!(s, "A" | "B" | "all") {
+                    suites_kind = Some(s);
+                } else {
+                    e.push(format!("$.meta.suites {s:?} must be \"A\", \"B\", or \"all\""));
+                }
+            }
+            if meta_processes == Some(0) {
+                e.push("$.meta.processes must be at least 1".into());
+            }
+            meta.processes = meta_processes.unwrap_or_default();
+        }
+
+        let mut suite_a = Vec::new();
+        let mut labels = Vec::new();
+        for (i, c) in require_array(doc, "suite_a", "$", e).unwrap_or_default().iter().enumerate() {
+            let path = format!("$.suite_a[{i}]");
+            let cell = require_str(c, "cell", &path, e);
+            if let Some(label) = cell {
+                if labels.contains(&label) {
+                    e.push(format!("{path}.cell {label:?} duplicates an earlier cell"));
+                }
+                labels.push(label);
+            }
+            let kind = require_str(c, "kind", &path, e);
+            if let Some(kind) = kind.filter(|k| !matches!(*k, "repro" | "daemon")) {
+                e.push(format!("{path}.kind {kind:?} must be \"repro\" or \"daemon\""));
+            }
+            let u = |key: &str, e: &mut Vec<String>| require_u64(c, key, &path, e);
+            let (scale, jobs, wall_ms, peak_rss_kb, records) = (
+                u("scale", e),
+                u("jobs", e),
+                u("wall_ms", e),
+                u("peak_rss_kb", e),
+                u("records", e),
+            );
+            if jobs == Some(0) {
+                e.push(format!("{path}.jobs must be at least 1"));
+            }
+            let rate = require(c, "records_per_sec", &path, e).map(Json::as_f64);
+            match rate {
+                Some(Some(r)) if !(r.is_finite() && r >= 0.0) => {
+                    e.push(format!("{path}.records_per_sec {r} must be finite and >= 0"))
+                }
+                Some(None) => e.push(format!("{path}.records_per_sec must be a number")),
+                _ => {}
+            }
+            suite_a.push(SuiteACell {
+                cell: cell.unwrap_or_default().to_string(),
+                kind: kind.unwrap_or_default().to_string(),
+                scale: scale.unwrap_or_default(),
+                jobs: jobs.unwrap_or_default(),
+                wall_ms: wall_ms.unwrap_or_default(),
+                peak_rss_kb: peak_rss_kb.unwrap_or_default(),
+                records: records.unwrap_or_default(),
+                records_per_sec: rate.flatten().unwrap_or_default(),
+                fingerprint: require_str(c, "fingerprint", &path, e)
+                    .unwrap_or_default()
+                    .to_string(),
+            });
+        }
+
+        // Σ suite B processes; `None` once the sum has overflowed.
+        let mut b_processes = Some(0u64);
+        let mut suite_b = Vec::new();
+        let mut prev_scale: Option<u64> = None;
+        for (i, s) in require_array(doc, "suite_b", "$", e).unwrap_or_default().iter().enumerate() {
+            let path = format!("$.suite_b[{i}]");
+            let scale = require_u64(s, "scale", &path, e);
+            if let (Some(prev), Some(cur)) = (prev_scale, scale) {
+                if cur <= prev {
+                    e.push(format!(
+                        "{path}.scale {cur} must exceed the previous row's {prev} \
+                         (rows strictly sorted by scale)"
+                    ));
+                }
+            }
+            prev_scale = scale.or(prev_scale);
+            let procs = require_u64(s, "processes", &path, e);
+            match procs {
+                Some(0) => e.push(format!("{path}.processes must be at least 1")),
+                Some(p) => {
+                    let what = format!("{path}.processes: suite_b process total");
+                    b_processes = b_processes.and_then(|t| checked_sum([t, p], &what, e));
+                }
+                None => {}
+            }
+            let block = |key: &str, e: &mut Vec<String>| match require(s, key, &path, e) {
+                Some(b) if b.as_object().is_some() => {
+                    read_percentiles(b, &format!("{path}.{key}"), procs, e)
+                }
+                Some(_) => {
+                    e.push(format!("{path}.{key} must be an object"));
+                    Percentiles::default()
+                }
+                None => Percentiles::default(),
+            };
+            let (wall_ms, peak_rss_kb, records_per_sec) =
+                (block("wall_ms", e), block("peak_rss_kb", e), block("records_per_sec", e));
+            let mut merged = BTreeMap::new();
+            for (name, h) in require_object(s, "merged", &path, e).unwrap_or_default() {
+                match Hist::from_json(h, &format!("{path}.merged.{name}")) {
+                    Ok(h) => {
+                        merged.insert(name.clone(), h);
+                    }
+                    Err(mut hist_errors) => e.append(&mut hist_errors),
+                }
+            }
+            suite_b.push(SuiteBScale {
+                scale: scale.unwrap_or_default(),
+                processes: procs.unwrap_or_default(),
+                wall_ms,
+                peak_rss_kb,
+                records_per_sec,
+                merged,
+            });
+        }
+
+        if let Some(kind) = suites_kind {
+            let a_cells = suite_a.len();
+            if (kind == "A" || kind == "all") && a_cells == 0 {
+                e.push(format!("$.meta.suites is {kind:?} but $.suite_a is empty"));
+            }
+            if kind == "A" && b_processes != Some(0) {
+                e.push("$.meta.suites is \"A\" but $.suite_b has rows".into());
+            }
+            if (kind == "B" || kind == "all") && b_processes == Some(0) {
+                e.push(format!("$.meta.suites is {kind:?} but $.suite_b is empty"));
+            }
+            if kind == "B" && a_cells > 0 {
+                e.push("$.meta.suites is \"B\" but $.suite_a has cells".into());
+            }
+        }
+        if let (Some(total), Some(b_processes)) = (meta_processes, b_processes) {
+            let a_cells = suite_a.len() as u64;
+            if e.is_empty() {
+                let what = "$.meta.processes: suite_a cells + suite_b processes";
+                if checked_sum([a_cells, b_processes], what, e).is_some_and(|n| n != total) {
+                    e.push(format!(
+                        "$.meta.processes is {total} but suite_a has {a_cells} cell(s) and \
+                         suite_b accounts for {b_processes} process(es)"
+                    ));
+                }
+            }
+        }
+
+        let mut verdicts = Vec::new();
+        for (i, v) in require_array(doc, "verdicts", "$", e).unwrap_or_default().iter().enumerate()
+        {
+            let path = format!("$.verdicts[{i}]");
+            verdicts.push(Verdict {
+                cell: require_str(v, "cell", &path, e).unwrap_or_default().to_string(),
+                detail: require_str(v, "detail", &path, e).unwrap_or_default().to_string(),
+                pass: require_bool(v, "pass", &path, e).unwrap_or_default(),
+            });
+        }
+
+        let report = SuiteReport { meta, suite_a, suite_b, verdicts };
+        ok_if_clean(report, errors)
     }
 
     /// True when every verdict passed.
@@ -357,197 +469,40 @@ impl SuiteReport {
     }
 }
 
-fn check_percentiles(doc: &Json, path: &str, processes: Option<u64>, errors: &mut Vec<String>) {
-    let mut field = |key: &str| require_u64(doc, key, path, errors);
+/// One Suite B percentile block at `path`, expecting `processes` samples.
+fn read_percentiles(
+    doc: &Json,
+    path: &str,
+    processes: Option<u64>,
+    e: &mut Vec<String>,
+) -> Percentiles {
+    let u = |key: &str, e: &mut Vec<String>| require_u64(doc, key, path, e);
     let (count, min, p50, p95, p99, max) =
-        (field("count"), field("min"), field("p50"), field("p95"), field("p99"), field("max"));
+        (u("count", e), u("min", e), u("p50", e), u("p95", e), u("p99", e), u("max", e));
     if let (Some(c), Some(p)) = (count, processes) {
         if c != p {
-            errors.push(format!("{path}.count is {c}, expected one sample per process ({p})"));
+            e.push(format!("{path}.count is {c}, expected one sample per process ({p})"));
         }
     }
     if let (Some(min), Some(max)) = (min, max) {
         if min > max {
-            errors.push(format!("{path}: min {min} > max {max}"));
+            e.push(format!("{path}: min {min} > max {max}"));
         }
     }
     // p50/p95/p99 are bucket upper bounds — ordered among themselves and
     // never below min, but p99 may legitimately exceed the exact max.
     if let (Some(min), Some(p50), Some(p95), Some(p99)) = (min, p50, p95, p99) {
         if !(min <= p50 && p50 <= p95 && p95 <= p99) {
-            errors.push(format!("{path}: percentiles out of order ({min}/{p50}/{p95}/{p99})"));
+            e.push(format!("{path}: percentiles out of order ({min}/{p50}/{p95}/{p99})"));
         }
     }
-}
-
-/// Validate a document against schema `dnsimpact-suite/v1`. Returns every
-/// violation, not just the first. Beyond field shapes this enforces the
-/// cross-field accounting:
-///
-/// - `meta.suites` ∈ {`A`, `B`, `all`}, and the populated sections match
-///   (`A` → no `suite_b` rows, `B` → no `suite_a` cells, `all` → both);
-/// - `meta.processes` = suite A cells + Σ suite B per-scale processes;
-/// - suite A cell labels unique, rates finite, `kind` ∈ {repro, daemon};
-/// - suite B rows strictly sorted by scale, percentile blocks counting one
-///   sample per process, merged histograms internally consistent
-///   ([`Hist::from_json`]: bucket accounting and honest percentiles).
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    check_schema(doc, SUITE_SCHEMA_ID, &mut errors);
-
-    let mut suites_kind: Option<String> = None;
-    let mut meta_processes: Option<u64> = None;
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        require_u64(meta, "seed", "$.meta", &mut errors);
-        meta_processes = require_u64(meta, "processes", "$.meta", &mut errors);
-        require_date(meta, "$.meta", &mut errors);
-        if let Some(s) = require_str(meta, "suites", "$.meta", &mut errors) {
-            if matches!(s, "A" | "B" | "all") {
-                suites_kind = Some(s.to_string());
-            } else {
-                errors.push(format!("$.meta.suites {s:?} must be \"A\", \"B\", or \"all\""));
-            }
-        }
-        if meta_processes == Some(0) {
-            errors.push("$.meta.processes must be at least 1".into());
-        }
-    }
-
-    let mut a_cells = 0u64;
-    match require(doc, "suite_a", "$", &mut errors) {
-        Some(Json::Array(cells)) => {
-            a_cells = cells.len() as u64;
-            let mut labels = Vec::new();
-            for (i, c) in cells.iter().enumerate() {
-                let path = format!("$.suite_a[{i}]");
-                if let Some(label) = require_str(c, "cell", &path, &mut errors) {
-                    if labels.contains(&label) {
-                        errors.push(format!("{path}.cell {label:?} duplicates an earlier cell"));
-                    }
-                    labels.push(label);
-                }
-                if let Some(kind) = require_str(c, "kind", &path, &mut errors) {
-                    if !matches!(kind, "repro" | "daemon") {
-                        errors
-                            .push(format!("{path}.kind {kind:?} must be \"repro\" or \"daemon\""));
-                    }
-                }
-                for key in ["scale", "jobs", "wall_ms", "peak_rss_kb", "records"] {
-                    require_u64(c, key, &path, &mut errors);
-                }
-                if let Some(jobs) = c.get("jobs").and_then(Json::as_u64) {
-                    if jobs == 0 {
-                        errors.push(format!("{path}.jobs must be at least 1"));
-                    }
-                }
-                if let Some(v) = require(c, "records_per_sec", &path, &mut errors) {
-                    match v.as_f64() {
-                        Some(r) if r.is_finite() && r >= 0.0 => {}
-                        Some(r) => errors
-                            .push(format!("{path}.records_per_sec {r} must be finite and >= 0")),
-                        None => errors.push(format!("{path}.records_per_sec must be a number")),
-                    }
-                }
-                require_str(c, "fingerprint", &path, &mut errors);
-            }
-        }
-        Some(_) => errors.push("$.suite_a must be an array".into()),
-        None => {}
-    }
-
-    let mut b_processes = 0u64;
-    match require(doc, "suite_b", "$", &mut errors) {
-        Some(Json::Array(rows)) => {
-            let mut prev_scale: Option<u64> = None;
-            for (i, s) in rows.iter().enumerate() {
-                let path = format!("$.suite_b[{i}]");
-                let scale = require_u64(s, "scale", &path, &mut errors);
-                if let (Some(prev), Some(cur)) = (prev_scale, scale) {
-                    if cur <= prev {
-                        errors.push(format!(
-                            "{path}.scale {cur} must exceed the previous row's {prev} \
-                             (rows strictly sorted by scale)"
-                        ));
-                    }
-                }
-                prev_scale = scale.or(prev_scale);
-                let procs = require_u64(s, "processes", &path, &mut errors);
-                match procs {
-                    Some(0) => errors.push(format!("{path}.processes must be at least 1")),
-                    Some(p) => b_processes += p,
-                    None => {}
-                }
-                for key in ["wall_ms", "peak_rss_kb", "records_per_sec"] {
-                    match require(s, key, &path, &mut errors) {
-                        Some(block) if block.as_object().is_some() => {
-                            check_percentiles(block, &format!("{path}.{key}"), procs, &mut errors);
-                        }
-                        Some(_) => errors.push(format!("{path}.{key} must be an object")),
-                        None => {}
-                    }
-                }
-                match require(s, "merged", &path, &mut errors) {
-                    Some(Json::Object(pairs)) => {
-                        for (name, h) in pairs {
-                            if let Err(mut hist_errors) =
-                                Hist::from_json(h, &format!("{path}.merged.{name}"))
-                            {
-                                errors.append(&mut hist_errors);
-                            }
-                        }
-                    }
-                    Some(_) => errors.push(format!("{path}.merged must be an object")),
-                    None => {}
-                }
-            }
-        }
-        Some(_) => errors.push("$.suite_b must be an array".into()),
-        None => {}
-    }
-
-    if let Some(kind) = &suites_kind {
-        if (kind == "A" || kind == "all") && a_cells == 0 {
-            errors.push(format!("$.meta.suites is {kind:?} but $.suite_a is empty"));
-        }
-        if kind == "A" && b_processes > 0 {
-            errors.push("$.meta.suites is \"A\" but $.suite_b has rows".into());
-        }
-        if (kind == "B" || kind == "all") && b_processes == 0 {
-            errors.push(format!("$.meta.suites is {kind:?} but $.suite_b is empty"));
-        }
-        if kind == "B" && a_cells > 0 {
-            errors.push("$.meta.suites is \"B\" but $.suite_a has cells".into());
-        }
-    }
-    if let Some(total) = meta_processes {
-        if errors.is_empty() && total != a_cells + b_processes {
-            errors.push(format!(
-                "$.meta.processes is {total} but suite_a has {a_cells} cell(s) and suite_b \
-                 accounts for {b_processes} process(es)"
-            ));
-        }
-    }
-
-    match require(doc, "verdicts", "$", &mut errors) {
-        Some(Json::Array(items)) => {
-            for (i, v) in items.iter().enumerate() {
-                let path = format!("$.verdicts[{i}]");
-                require_str(v, "cell", &path, &mut errors);
-                require_str(v, "detail", &path, &mut errors);
-                match require(v, "pass", &path, &mut errors) {
-                    Some(Json::Bool(_)) | None => {}
-                    Some(_) => errors.push(format!("{path}.pass must be a boolean")),
-                }
-            }
-        }
-        Some(_) => errors.push("$.verdicts must be an array".into()),
-        None => {}
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+    Percentiles {
+        count: count.unwrap_or_default(),
+        min: min.unwrap_or_default(),
+        p50: p50.unwrap_or_default(),
+        p95: p95.unwrap_or_default(),
+        p99: p99.unwrap_or_default(),
+        max: max.unwrap_or_default(),
     }
 }
 
@@ -627,45 +582,45 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_wrong_schema() {
+    fn from_json_rejects_wrong_schema() {
         let mut doc = sample_report().to_json();
         doc.set("schema", Json::Str("dnsimpact-sweep/v1".into()));
-        let errors = validate(&doc).unwrap_err();
+        let errors = SuiteReport::from_json(&doc).unwrap_err();
         assert!(errors[0].contains("expected"), "{errors:?}");
     }
 
     #[test]
-    fn validate_enforces_process_accounting() {
+    fn from_json_enforces_process_accounting() {
         let mut report = sample_report();
         report.meta.processes = 9;
-        let errors = validate(&report.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("processes is 9")), "{errors:?}");
     }
 
     #[test]
-    fn validate_enforces_suites_section_match() {
+    fn from_json_enforces_suites_section_match() {
         let mut only_a = sample_report();
         only_a.meta.suites = "A".into();
-        let errors = validate(&only_a.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&only_a.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("suite_b has rows")), "{errors:?}");
 
         let mut only_b = sample_report();
         only_b.meta.suites = "B".into();
-        let errors = validate(&only_b.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&only_b.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("suite_a has cells")), "{errors:?}");
 
         let mut empty_b = sample_report();
         empty_b.suite_b.clear();
         empty_b.meta.processes = 2;
-        let errors = validate(&empty_b.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&empty_b.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("suite_b is empty")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_duplicate_cells_and_unsorted_scales() {
+    fn from_json_rejects_duplicate_cells_and_unsorted_scales() {
         let mut dup = sample_report();
         dup.suite_a[1].cell = dup.suite_a[0].cell.clone();
-        let errors = validate(&dup.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&dup.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("duplicates")), "{errors:?}");
 
         let mut unsorted = sample_report();
@@ -673,12 +628,12 @@ mod tests {
         row.scale = 750; // equal, not strictly greater
         unsorted.suite_b.push(row);
         unsorted.meta.processes += 3;
-        let errors = validate(&unsorted.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&unsorted.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("strictly sorted")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_inconsistent_merged_histogram() {
+    fn from_json_rejects_inconsistent_merged_histogram() {
         let mut doc = sample_report().to_json();
         let mut suite_b = doc.get("suite_b").unwrap().clone();
         let Json::Array(rows) = &mut suite_b else { unreachable!() };
@@ -688,26 +643,26 @@ mod tests {
         merged.set("time.pool.task_ms", h);
         rows[0].set("merged", merged);
         doc.set("suite_b", suite_b);
-        let errors = validate(&doc).unwrap_err();
+        let errors = SuiteReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("p99 claims 1")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_nonfinite_rate_and_zero_jobs() {
+    fn from_json_rejects_nonfinite_rate_and_zero_jobs() {
         let mut report = sample_report();
         report.suite_a[0].records_per_sec = f64::NAN;
         report.suite_a[1].jobs = 0;
         // Non-finite f64 serializes to null, so the error is the type check.
-        let errors = validate(&report.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("records_per_sec")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("jobs must be at least 1")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_percentile_count_mismatch() {
+    fn from_json_rejects_percentile_count_mismatch() {
         let mut report = sample_report();
         report.suite_b[0].wall_ms.count = 7;
-        let errors = validate(&report.to_json()).unwrap_err();
+        let errors = SuiteReport::from_json(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("one sample per process")), "{errors:?}");
     }
 

@@ -25,17 +25,21 @@
 //! numerator of `records_per_sec`. `speedup_vs_jobs1` divides the jobs=1
 //! wall time of the same scale by this cell's wall time (1.0 for the
 //! jobs=1 cell itself). Cells are strictly sorted by `(scale, jobs)`;
-//! [`validate`] rejects unsorted or duplicate cells and any non-finite
-//! float, so a NaN throughput can never reach a committed artifact.
+//! [`SweepReport::from_json`] rejects unsorted or duplicate cells and any
+//! non-finite float, so a NaN throughput can never reach a committed
+//! artifact.
 
-use crate::check::{check_schema, require, require_date, require_finite_f64, require_u64};
+use crate::check::{
+    check_schema, checked_sum, ok_if_clean, require, require_array, require_date,
+    require_finite_f64, require_opt_u64, require_u64,
+};
 use crate::json::Json;
 
 /// Schema identifier carried in every sweep report.
 pub const SWEEP_SCHEMA_ID: &str = "dnsimpact-sweep/v1";
 
 /// Sweep identity: the inputs shared by every cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepMeta {
     pub seed: u64,
     pub chaos_seed: Option<u64>,
@@ -110,41 +114,79 @@ impl SweepReport {
         doc
     }
 
-    /// Rebuild a report from schema-`v1` JSON. Runs full validation first,
-    /// so `from_json(doc)?` doubles as a validity check.
+    /// Read a sweep report back: the one pass that checks and reads the
+    /// document, collecting every violation. Beyond field shape this
+    /// enforces the artifact invariants: cells strictly sorted by
+    /// `(scale, jobs)` (which also forbids duplicates), all floats finite,
+    /// and `records` consistent with its breakdown.
     pub fn from_json(doc: &Json) -> Result<SweepReport, Vec<String>> {
-        validate(doc)?;
-        let meta = doc.get("meta").unwrap();
-        let sweep_meta = SweepMeta {
-            seed: meta.get("seed").unwrap().as_u64().unwrap(),
-            chaos_seed: meta.get("chaos_seed").unwrap().as_u64(),
-            date: meta.get("date").unwrap().as_str().unwrap().to_string(),
-            heavy: meta.get("heavy").unwrap().as_u64().unwrap(),
-        };
-        let cells = doc
-            .get("cells")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|c| {
-                let u = |key: &str| c.get(key).unwrap().as_u64().unwrap();
-                let f = |key: &str| c.get(key).unwrap().as_f64().unwrap();
-                SweepCell {
-                    scale: u("scale"),
-                    jobs: u("jobs"),
-                    episodes: u("episodes"),
-                    joined_rows: u("joined_rows"),
-                    records_measured: u("records_measured"),
-                    records: u("records"),
-                    wall_ms: u("wall_ms"),
-                    peak_rss_kb: u("peak_rss_kb"),
-                    records_per_sec: f("records_per_sec"),
-                    speedup_vs_jobs1: f("speedup_vs_jobs1"),
+        let mut errors = Vec::new();
+        let e = &mut errors;
+        check_schema(doc, SWEEP_SCHEMA_ID, e);
+        let meta = require(doc, "meta", "$", e).map(|m| SweepMeta {
+            seed: require_u64(m, "seed", "$.meta", e).unwrap_or_default(),
+            heavy: require_u64(m, "heavy", "$.meta", e).unwrap_or_default(),
+            chaos_seed: require_opt_u64(m, "chaos_seed", "$.meta", e).flatten(),
+            date: require_date(m, "$.meta", e).unwrap_or_default().to_string(),
+        });
+        let items = require_array(doc, "cells", "$", e);
+        if items.is_some_and(<[Json]>::is_empty) {
+            e.push("$.cells must not be empty".into());
+        }
+        let mut cells = Vec::new();
+        let mut prev: Option<(u64, u64)> = None;
+        for (i, c) in items.unwrap_or_default().iter().enumerate() {
+            let path = format!("$.cells[{i}]");
+            let u = |key: &str, e: &mut Vec<String>| require_u64(c, key, &path, e);
+            let (scale, jobs, episodes, joined_rows, records_measured, records) = (
+                u("scale", e),
+                u("jobs", e),
+                u("episodes", e),
+                u("joined_rows", e),
+                u("records_measured", e),
+                u("records", e),
+            );
+            let (wall_ms, peak_rss_kb) = (u("wall_ms", e), u("peak_rss_kb", e));
+            let records_per_sec = require_finite_f64(c, "records_per_sec", &path, e);
+            let speedup_vs_jobs1 = require_finite_f64(c, "speedup_vs_jobs1", &path, e);
+            if let (Some(ep), Some(j), Some(m), Some(r)) =
+                (episodes, joined_rows, records_measured, records)
+            {
+                let what = format!("{path}.records: episodes + joined_rows + records_measured");
+                if let Some(sum) = checked_sum([ep, j, m], &what, e).filter(|&sum| sum != r) {
+                    e.push(format!(
+                        "{path}.records ({r}) != episodes + joined_rows + records_measured ({sum})"
+                    ));
                 }
-            })
-            .collect();
-        Ok(SweepReport { meta: sweep_meta, cells })
+            }
+            if jobs == Some(0) {
+                e.push(format!("{path}.jobs must be >= 1"));
+            }
+            if let (Some(scale), Some(jobs)) = (scale, jobs) {
+                if let Some(p) = prev.filter(|&p| (scale, jobs) <= p) {
+                    e.push(format!(
+                        "{path} (scale={scale}, jobs={jobs}) is not strictly after \
+                         (scale={}, jobs={}) — cells must be sorted, without duplicates",
+                        p.0, p.1
+                    ));
+                }
+                prev = Some((scale, jobs));
+            }
+            cells.push(SweepCell {
+                scale: scale.unwrap_or_default(),
+                jobs: jobs.unwrap_or_default(),
+                episodes: episodes.unwrap_or_default(),
+                joined_rows: joined_rows.unwrap_or_default(),
+                records_measured: records_measured.unwrap_or_default(),
+                records: records.unwrap_or_default(),
+                wall_ms: wall_ms.unwrap_or_default(),
+                peak_rss_kb: peak_rss_kb.unwrap_or_default(),
+                records_per_sec: records_per_sec.unwrap_or_default(),
+                speedup_vs_jobs1: speedup_vs_jobs1.unwrap_or_default(),
+            });
+        }
+        let report = SweepReport { meta: meta.unwrap_or_default(), cells };
+        ok_if_clean(report, errors)
     }
 
     /// Human-readable table for stderr: one line per cell.
@@ -177,87 +219,6 @@ impl SweepReport {
             );
         }
         out
-    }
-}
-
-/// Validate a document against schema `dnsimpact-sweep/v1`. Returns the
-/// full list of violations rather than stopping at the first. Beyond field
-/// shape this enforces the artifact invariants: cells strictly sorted by
-/// `(scale, jobs)` (which also forbids duplicates), all floats finite,
-/// and `records` consistent with its breakdown.
-pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
-    let mut errors = Vec::new();
-    check_schema(doc, SWEEP_SCHEMA_ID, &mut errors);
-    if let Some(meta) = require(doc, "meta", "$", &mut errors) {
-        require_u64(meta, "seed", "$.meta", &mut errors);
-        require_u64(meta, "heavy", "$.meta", &mut errors);
-        match require(meta, "chaos_seed", "$.meta", &mut errors) {
-            Some(Json::Null) | Some(Json::U64(_)) | None => {}
-            Some(_) => errors.push("$.meta.chaos_seed must be null or an unsigned integer".into()),
-        }
-        require_date(meta, "$.meta", &mut errors);
-    }
-    match require(doc, "cells", "$", &mut errors) {
-        Some(Json::Array(items)) => {
-            if items.is_empty() {
-                errors.push("$.cells must not be empty".into());
-            }
-            let mut prev: Option<(u64, u64)> = None;
-            for (i, c) in items.iter().enumerate() {
-                let path = format!("$.cells[{i}]");
-                for key in [
-                    "scale",
-                    "jobs",
-                    "episodes",
-                    "joined_rows",
-                    "records_measured",
-                    "records",
-                    "wall_ms",
-                    "peak_rss_kb",
-                ] {
-                    require_u64(c, key, &path, &mut errors);
-                }
-                require_finite_f64(c, "records_per_sec", &path, &mut errors);
-                require_finite_f64(c, "speedup_vs_jobs1", &path, &mut errors);
-                let u = |key: &str| c.get(key).and_then(|v| v.as_u64());
-                if let (Some(e), Some(j), Some(m), Some(r)) =
-                    (u("episodes"), u("joined_rows"), u("records_measured"), u("records"))
-                {
-                    if e + j + m != r {
-                        errors.push(format!(
-                            "{path}.records ({r}) != episodes + joined_rows + \
-                             records_measured ({})",
-                            e + j + m
-                        ));
-                    }
-                }
-                if let Some(jobs) = u("jobs") {
-                    if jobs == 0 {
-                        errors.push(format!("{path}.jobs must be >= 1"));
-                    }
-                }
-                if let (Some(scale), Some(jobs)) = (u("scale"), u("jobs")) {
-                    let key = (scale, jobs);
-                    if let Some(p) = prev {
-                        if key <= p {
-                            errors.push(format!(
-                                "{path} (scale={scale}, jobs={jobs}) is not strictly after \
-                                 (scale={}, jobs={}) — cells must be sorted, without duplicates",
-                                p.0, p.1
-                            ));
-                        }
-                    }
-                    prev = Some(key);
-                }
-            }
-        }
-        Some(_) => errors.push("$.cells must be an array".into()),
-        None => {}
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
@@ -305,63 +266,58 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_sample() {
-        assert!(validate(&sample_report().to_json()).is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_wrong_schema_and_missing_fields() {
+    fn from_json_rejects_wrong_schema_and_missing_fields() {
         let mut doc = sample_report().to_json();
         doc.set("schema", Json::Str("dnsimpact-metrics/v2".into()));
-        let errors = validate(&doc).unwrap_err();
+        let errors = SweepReport::from_json(&doc).unwrap_err();
         assert!(errors[0].contains("dnsimpact-sweep/v1"), "{errors:?}");
 
         let empty = Json::obj();
-        let errors = validate(&empty).unwrap_err();
+        let errors = SweepReport::from_json(&empty).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("$.schema")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("$.meta")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("$.cells")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_unsorted_and_duplicate_cells() {
+    fn from_json_rejects_unsorted_and_duplicate_cells() {
         let mut unsorted = sample_report();
         unsorted.cells.swap(1, 2);
-        let errors = validate(&unsorted.to_json()).unwrap_err();
+        let errors = SweepReport::from_json(&unsorted.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("sorted")), "{errors:?}");
 
         let mut duped = sample_report();
         let c = duped.cells[0].clone();
         duped.cells.insert(1, c);
-        let errors = validate(&duped.to_json()).unwrap_err();
+        let errors = SweepReport::from_json(&duped.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("duplicates")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_nan_and_inconsistent_records() {
+    fn from_json_rejects_nan_and_inconsistent_records() {
         let mut report = sample_report();
         report.cells[0].records_per_sec = f64::NAN;
         report.cells[1].speedup_vs_jobs1 = f64::INFINITY;
         report.cells[2].records += 1;
-        // NaN/inf serialize to null; validate flags both cells either way.
+        // NaN/inf serialize to null; from_json flags both cells either way.
         let text = report.to_json().pretty();
         let doc = Json::parse(&text).unwrap();
-        let errors = validate(&doc).unwrap_err();
+        let errors = SweepReport::from_json(&doc).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("cells[0].records_per_sec")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("cells[1].speedup_vs_jobs1")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("cells[2].records")), "{errors:?}");
     }
 
     #[test]
-    fn validate_rejects_empty_cells_and_zero_jobs() {
+    fn from_json_rejects_empty_cells_and_zero_jobs() {
         let mut report = sample_report();
         report.cells.clear();
-        let errors = validate(&report.to_json()).unwrap_err();
+        let errors = SweepReport::from_json(&report.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("must not be empty")), "{errors:?}");
 
         let mut zero = sample_report();
         zero.cells[0].jobs = 0;
-        let errors = validate(&zero.to_json()).unwrap_err();
+        let errors = SweepReport::from_json(&zero.to_json()).unwrap_err();
         assert!(errors.iter().any(|e| e.contains("jobs must be >= 1")), "{errors:?}");
     }
 

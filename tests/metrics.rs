@@ -126,8 +126,8 @@ fn metrics_are_out_of_band_and_deterministic() {
         trace: obs::trace::summary(),
     };
     let doc = report.to_json();
-    obs::report::validate(&doc).expect("live report validates");
-    obs::report::check_invariants(&doc).expect("live report invariants hold");
+    let read = obs::RunReport::from_json(&doc).expect("live report validates");
+    read.check_invariants().expect("live report invariants hold");
     let text = doc.pretty();
     let back = obs::RunReport::from_json(&obs::Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, report, "report round-trips through JSON text");
